@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -143,9 +143,6 @@ class Word:
         return {Word(self.alphabet, self.codes[i:i + n]) for i in range(len(self.codes) - n + 1)}
 
 
-EMPTY_BINARY_WORD = Word(Alphabet.binary(), ())
-
-
 @dataclass(frozen=True)
 class Segment:
     """Inclusive index range [i, j] of a sequence."""
@@ -202,9 +199,11 @@ class Sequence:
 
     ``extend`` receives the internal cache (a list of symbol codes) and a
     target length and must append codes until the cache reaches at least
-    that length.  It is called under the sequence lock, so implementations
-    may keep private incremental state.  Repeated evaluation of the same
-    index always yields the same symbol.
+    that length; it is called under the sequence lock.  Families build it
+    with :meth:`from_index_fn` (a stateless oracle index -> code) or
+    :meth:`from_chunks` (a generator that keeps its state in its locals).
+    The same index always yields the same symbol.  A stream whose generator
+    raised stays failed: reads past the cache raise the same class again.
     """
 
     def __init__(self, alphabet: Alphabet, extend, *, bound: Optional[Bound] = None,
@@ -224,19 +223,39 @@ class Sequence:
         """Sequence from a total random-access oracle index -> symbol code."""
 
         def extend(cache, target):
-            for i in range(len(cache), target):
-                cache.append(fn(i))
+            cache.extend(map(fn, range(len(cache), target)))
 
         return Sequence(alphabet, extend, **kw)
 
     @staticmethod
-    def from_iterable(alphabet, iterable: Iterable, **kw) -> "Sequence":
-        """Sequence fed from a (deterministic) infinite symbol-code iterator."""
-        it = iter(iterable)
+    def from_chunks(alphabet, chunks: Iterator[list], **kw) -> "Sequence":
+        """Sequence fed by a deterministic iterator of symbol-code lists.
+
+        Chunks may have any length, empty included; the part of a chunk past
+        the requested target waits behind an offset for the next read.  Reads
+        past the end of the iterator raise :class:`HorizonExhausted`; an
+        exception from the iterator is raised again by every later read that
+        needs new codes.
+        """
+        it = iter(chunks)
+        chunk, off, fault = [], 0, None
 
         def extend(cache, target):
-            while len(cache) < target:
-                cache.append(next(it))
+            nonlocal chunk, off, fault
+            if fault is not None:
+                raise fault.with_traceback(None)
+            try:
+                while len(cache) < target:
+                    if off == len(chunk):
+                        chunk, off = next(it), 0
+                    end = off + target - len(cache)
+                    cache.extend(chunk[off:end])
+                    off = min(end, len(chunk))
+            except StopIteration:
+                pass
+            except BaseException as e:
+                fault = e
+                raise
 
         return Sequence(alphabet, extend, **kw)
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import floor, ceil
 
-from .core import Alphabet, Bound, Provenance, Sequence, Word
+from .core import _CHUNK, Alphabet, Bound, Provenance, Sequence, Word
 from .errors import GenerationStuck, HorizonExhausted, PrecisionExhausted, SpecError
 
 BINARY = Alphabet.binary()
@@ -42,6 +42,11 @@ def _as_word(w, alphabet=None) -> Word:
     return w if isinstance(w, Word) else word_from_text(w, alphabet)
 
 
+def _chunked(codes, start: int = 0):
+    """codes[start:] as consecutive slices of at most _CHUNK codes."""
+    return (codes[i:i + _CHUNK] for i in range(start, len(codes), _CHUNK))
+
+
 # -- periodic families ----------------------------------------------------
 
 
@@ -56,14 +61,9 @@ def periodic(period) -> Sequence:
     if p < 1:
         raise SpecError("period must be nonempty")
     codes = w.codes
-
-    def extend(cache, target):
-        while len(cache) < target:
-            cache.append(codes[len(cache) % p])
-
     bound = Bound(lambda n: n + p - 1, f"periodic window, period {p}")
-    return Sequence(w.alphabet, extend, bound=bound,
-                    provenance=Provenance("periodic", {"period": w.text, "period_len": p}))
+    prov = Provenance("periodic", {"period": w.text, "period_len": p})
+    return Sequence.from_index_fn(w.alphabet, lambda i: codes[i % p], bound=bound, provenance=prov)
 
 
 def eventually_periodic(pre, period) -> Sequence:
@@ -84,17 +84,11 @@ def eventually_periodic(pre, period) -> Sequence:
     if p < 1:
         raise SpecError("period must be nonempty")
     k, ucodes, wcodes = len(u), u.codes, w.codes
-
-    def extend(cache, target):
-        while len(cache) < target:
-            i = len(cache)
-            cache.append(ucodes[i] if i < k else wcodes[(i - k) % p])
-
     bound = Bound(lambda n: k + n + p - 1, f"eventually periodic window, pre {k}, period {p}")
-    return Sequence(u.alphabet, extend, bound=bound,
-                    provenance=Provenance("eventually_periodic",
-                                          {"pre": u.text, "period": w.text,
-                                           "pre_len": k, "period_len": p}))
+    prov = Provenance("eventually_periodic",
+                      {"pre": u.text, "period": w.text, "pre_len": k, "period_len": p})
+    fn = lambda i: ucodes[i] if i < k else wcodes[(i - k) % p]
+    return Sequence.from_index_fn(u.alphabet, fn, bound=bound, provenance=prov)
 
 
 def constant(symbol: str) -> Sequence:
@@ -109,12 +103,9 @@ def with_prefix(prefix_word, x: Sequence) -> Sequence:
     k, ucodes = len(u), u.codes
 
     def extend(cache, target):
-        while len(cache) < target and len(cache) < k:
-            cache.append(ucodes[len(cache)])
-        if len(cache) >= target:
-            return
-        xs = x.codes(target - k)
-        cache.extend(xs[len(cache) - k:target - k])
+        cache.extend(ucodes[len(cache):target])
+        if len(cache) < target:
+            cache.extend(x.codes(target - k)[len(cache) - k:target - k])
 
     return Sequence(x.alphabet, extend,
                     provenance=Provenance("with_prefix", {"prefix": u.text, "of": str(x.provenance)}),
@@ -139,10 +130,8 @@ def thue_morse(definition: str = "recurrence") -> Sequence:
         def extend(cache, target):
             if not cache:
                 cache.append(0)
-            while len(cache) < target:
-                i = len(cache)
-                half = cache[i >> 1]
-                cache.append(half if i % 2 == 0 else 1 - half)
+            for i in range(len(cache), target):
+                cache.append(cache[i >> 1] ^ (i & 1))
 
         seq = Sequence(BINARY, extend,
                        provenance=Provenance("thue_morse", {"definition": definition}))
@@ -279,21 +268,18 @@ def mechanical(alpha, rho, variant: str = "lower") -> Sequence:
         raise SpecError("intercept must lie in [0, 1)")
     upper = variant == "upper"
 
-    state = {"last": None}
+    def chunks():
+        last = _floor_affine(alpha, rho, 0, upper)
+        for start in itertools.count(1, _CHUNK):
+            out = []
+            for n in range(start, start + _CHUNK):
+                nxt = _floor_affine(alpha, rho, n, upper)
+                out.append(nxt - last)
+                last = nxt
+            yield out
 
-    def extend(cache, target):
-        if state["last"] is None:
-            state["last"] = _floor_affine(alpha, rho, 0, upper)
-        while len(cache) < target:
-            n = len(cache)
-            nxt = _floor_affine(alpha, rho, n + 1, upper)
-            cache.append(nxt - state["last"])
-            state["last"] = nxt
-
-    return Sequence(BINARY, extend,
-                    provenance=Provenance("mechanical",
-                                          {"alpha": str(alpha), "rho": str(rho),
-                                           "variant": variant}))
+    prov = Provenance("mechanical", {"alpha": str(alpha), "rho": str(rho), "variant": variant})
+    return Sequence.from_chunks(BINARY, chunks(), provenance=prov)
 
 
 # -- morphisms and their fixed points --------------------------------------
@@ -346,15 +332,6 @@ class Morphism:
         """Image of each source code as a tuple of target codes."""
         return [self.images[a].codes for a in self.source]
 
-    def apply_word(self, w: Word) -> Word:
-        if w.alphabet != self.source:
-            raise SpecError("word is not over the morphism source alphabet")
-        table = self.image_codes()
-        out = []
-        for c in w.codes:
-            out.extend(table[c])
-        return Word(self.target, tuple(out))
-
     def mortal_letters(self) -> set:
         """Letters whose iterated image eventually vanishes."""
         mortal = {a for a in self.source if len(self.images[a]) == 0}
@@ -403,29 +380,24 @@ def morphic(phi: Morphism, seed: str, coding: Morphism | None = None) -> Sequenc
 
     table = phi.image_codes()
     seed_code = phi.source.index(seed)
-    inner = {"codes": list(img.codes), "ptr": 1}
 
-    def extend(cache, target):
-        codes, ptr = inner["codes"], inner["ptr"]
+    def chunks():
         if degenerate:
-            cache.extend([seed_code if code_map is None else code_map[seed_code]]
-                         * (target - len(cache)))
-            return
-        while len(codes) < target:
-            if ptr >= len(codes):
-                raise SpecError("image collapse: the fixed point of phi is a finite word")
-            codes.extend(table[codes[ptr]])
-            ptr += 1
-        inner["ptr"] = ptr
-        if code_map is None:
-            cache.extend(codes[len(cache):target])
-        else:
-            cache.extend(code_map[c] for c in codes[len(cache):target])
+            c = seed_code if code_map is None else code_map[seed_code]
+            yield from itertools.repeat([c] * _CHUNK)
+        codes, ptr = list(img.codes), 1
+        for done in itertools.count(0, _CHUNK):
+            while len(codes) < done + _CHUNK:
+                if ptr >= len(codes):
+                    raise SpecError("image collapse: the fixed point of phi is a finite word")
+                codes.extend(table[codes[ptr]])
+                ptr += 1
+            chunk = codes[done:done + _CHUNK]
+            yield chunk if code_map is None else [code_map[c] for c in chunk]
 
-    return Sequence(out_alphabet, extend,
-                    provenance=Provenance("morphic",
-                                          {"rules": _rules_text(phi), "seed": seed,
-                                           "coding": _rules_text(coding) if coding else "-"}))
+    prov = Provenance("morphic", {"rules": _rules_text(phi), "seed": seed,
+                                  "coding": _rules_text(coding) if coding else "-"})
+    return Sequence.from_chunks(out_alphabet, chunks(), provenance=prov)
 
 
 def _rules_text(phi: Morphism | None) -> str:
@@ -553,16 +525,12 @@ def block_product_seq(blocks, *, assert_both_letters: bool = False,
             n *= len(checked_block(k))
         return n
 
-    state = {"word": None, "level": 0}
-
-    def extend(cache, target):
-        if state["word"] is None:
-            state["word"] = list(checked_block(0).codes)
-        w = state["word"]
+    def chunks():
+        w = list(checked_block(0).codes)
+        yield from _chunked(w)
         stagnant = 0
-        while len(w) < target:
-            state["level"] += 1
-            blk = checked_block(state["level"])
+        for level in itertools.count(1):
+            blk = checked_block(level)
             if len(blk) == 1:
                 stagnant += 1
                 if stagnant > 10_000:
@@ -573,9 +541,8 @@ def block_product_seq(blocks, *, assert_both_letters: bool = False,
             comp = [1 - c for c in w]
             for bit in blk.codes:
                 new.extend(w if bit == 0 else comp)
-            w = new
-        state["word"] = w
-        cache.extend(w[len(cache):target])
+            done, w = len(w), new
+            yield from _chunked(w, done)
 
     bound = None
     if assert_both_letters:
@@ -587,8 +554,8 @@ def block_product_seq(blocks, *, assert_both_letters: bool = False,
 
         bound = Bound(fn, "block product window (4*l_{m+1} + 2*l_m + n)")
 
-    return Sequence(BINARY, extend, bound=bound,
-                    provenance=Provenance(family, params or {}))
+    return Sequence.from_chunks(BINARY, chunks(), bound=bound,
+                                provenance=Provenance(family, params or {}))
 
 
 def keane() -> Sequence:
@@ -873,20 +840,15 @@ def scheme_generate(scheme, mode: str = "AP", policy="lex", seed=None,
             return rng.choice(cands)
         return policy(level_n, cands)
 
-    chain = {"level": None, "word": None}
-    jcodes, jlen = junk_word.codes, len(junk_word)
+    jlen = len(junk_word)
 
-    def extend(cache, target):
-        while len(cache) < target and len(cache) < jlen:
-            cache.append(jcodes[len(cache)])
-        if len(cache) >= target:
-            return
-        while chain["word"] is None or jlen + len(chain["word"]) < target:
-            nxt = 0 if chain["level"] is None else chain["level"] + 1
-            chain["word"] = choose(nxt, chain["word"])
-            chain["level"] = nxt
-        w = chain["word"].codes
-        cache.extend(w[len(cache) - jlen:target - jlen])
+    def chunks():
+        yield from _chunked(junk_word.codes)
+        word = None
+        for level in itertools.count():
+            done = len(word) if word is not None else 0
+            word = choose(level, word)
+            yield from _chunked(word.codes, done)
 
     bound = None
     if is_gap:
@@ -898,11 +860,9 @@ def scheme_generate(scheme, mode: str = "AP", policy="lex", seed=None,
 
         bound = Bound(fn, "pair-scheme window (junk + 2 * next level length)")
 
-    return Sequence(scheme.alphabet, extend, bound=bound,
-                    provenance=Provenance("scheme",
-                                          {"name": getattr(scheme, "name", "?"),
-                                           "mode": mode, "policy": str(policy),
-                                           "junk": junk_word.text}))
+    prov = Provenance("scheme", {"name": getattr(scheme, "name", "?"), "mode": mode,
+                                 "policy": str(policy), "junk": junk_word.text})
+    return Sequence.from_chunks(scheme.alphabet, chunks(), bound=bound, provenance=prov)
 
 
 # -- hole-filling words ------------------------------------------------------
@@ -982,18 +942,16 @@ def kolakoski() -> Sequence:
     """The run-length self-describing sequence over {1, 2} starting 2, 2:
     the lengths of its own runs spell out the sequence again.  Generated
     feed-forward: run j has length x(j), with symbols alternating 2, 1."""
-    alphabet = Alphabet.of("1", "2")
-    state = {"vals": [2, 2], "run": 1, "sym": 2}
+    def chunks():
+        codes, run, sym = [1, 1], 1, 1  # codes of the symbols 2, 2
+        for done in itertools.count(0, _CHUNK):
+            while len(codes) < done + _CHUNK:
+                sym = 1 - sym
+                codes.extend([sym] * (codes[run] + 1))
+                run += 1
+            yield codes[done:done + _CHUNK]
 
-    def extend(cache, target):
-        vals = state["vals"]
-        while len(vals) < target:
-            state["sym"] = 3 - state["sym"]
-            vals.extend([state["sym"]] * vals[state["run"]])
-            state["run"] += 1
-        cache.extend(v - 1 for v in vals[len(cache):target])
-
-    return Sequence(alphabet, extend, provenance=Provenance("kolakoski"))
+    return Sequence.from_chunks(Alphabet.of("1", "2"), chunks(), provenance=Provenance("kolakoski"))
 
 
 # -- position-alternating morphisms -----------------------------------------
@@ -1046,25 +1004,22 @@ def alternating_morphic(system: AlternatingMorphismSystem) -> Sequence:
     p = len(system.morphisms)
     tables = [h.image_codes() for h in system.morphisms]
     seed_code = alphabet.index(system.seed)
-    state = {"word": [seed_code]}
 
-    def extend(cache, target):
-        w = state["word"]
-        while len(w) < target:
+    def chunks():
+        w = [seed_code]
+        yield w
+        while True:
             new = []
             for i, c in enumerate(w):
                 new.extend(tables[i % p][c])
-            if len(new) == len(w) and new == w:
-                # fixed finite word: degenerate constant-style continuation
+            if new == w:
                 raise HorizonExhausted("alternating system reached a finite fixed word")
-            w = new
-        state["word"] = w
-        cache.extend(w[len(cache):target])
+            done, w = len(w), new
+            yield from _chunked(w, done)
 
     rules = ";".join(_rules_text(h) for h in system.morphisms)
-    return Sequence(alphabet, extend,
-                    provenance=Provenance("alternating_morphic",
-                                          {"rules": rules, "seed": system.seed}))
+    prov = Provenance("alternating_morphic", {"rules": rules, "seed": system.seed})
+    return Sequence.from_chunks(alphabet, chunks(), provenance=prov)
 
 
 def kolakoski_system() -> AlternatingMorphismSystem:
@@ -1139,15 +1094,10 @@ def progression_rewrite(base: Sequence, levels) -> Sequence:
 
             bound = Bound(fn, "progression rewrite window (phase-aligned base)")
 
-    def extend(cache, target):
-        for i in range(len(cache), target):
-            cache.append(resolve(i))
-
-    return Sequence(base.alphabet, extend, bound=bound,
-                    provenance=Provenance("progression_rewrite",
-                                          {"base": str(base.provenance),
-                                           "n0": lv(0), "n1": lv(1)}),
-                    horizon_cap=base.horizon_cap)
+    prov = Provenance("progression_rewrite",
+                      {"base": str(base.provenance), "n0": lv(0), "n1": lv(1)})
+    return Sequence.from_index_fn(base.alphabet, resolve, bound=bound, provenance=prov,
+                                  horizon_cap=base.horizon_cap)
 
 
 # -- triangular-sum witness ---------------------------------------------------
@@ -1161,15 +1111,7 @@ def aperiodicity_witness(k: int) -> Sequence:
     if k < 3:
         raise SpecError("the witness construction needs k >= 3")
     alphabet = Alphabet(tuple(str(i) for i in range(k)))
-    rules = {}
-    for i in range(k):
-        word = []
-        total = 0
-        for j in range(k):
-            total += j
-            word.append(str((i + total) % k))
-        rules[str(i)] = "".join(word)
-    phi = Morphism.from_rules(alphabet, alphabet, rules)
+    phi = Morphism.from_rules(alphabet, alphabet, triangular_images(k))
     seq = morphic(phi, "0")
     seq.provenance = Provenance("aperiodicity_witness", {"k": k})
     return seq
@@ -1196,5 +1138,6 @@ def random_sequence(alphabet: Alphabet, seed: int) -> Sequence:
     test suite and demos as a full-shift reference point."""
     rng = _random.Random(seed)
     k = len(alphabet)
-    return Sequence.from_iterable(alphabet, (rng.randrange(k) for _ in itertools.count()),
-                                  provenance=Provenance("random", {"seed": seed, "k": k}))
+    chunks = ([rng.randrange(k) for _ in range(_CHUNK)] for _ in itertools.count())
+    return Sequence.from_chunks(alphabet, chunks,
+                                provenance=Provenance("random", {"seed": seed, "k": k}))

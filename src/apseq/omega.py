@@ -236,12 +236,6 @@ def parse_automaton(text: str):
 # -- stock acceptors -----------------------------------------------------------------
 
 
-def last_letter_tracker(alphabet: Alphabet) -> dict:
-    """Transitions of the machine whose state is the last letter read
-    (state q_a per letter, initial q_<first letter>)."""
-    return {(f"q{b}", a): f"q{a}" for b in alphabet for a in alphabet}
-
-
 def both_letters_tracker() -> MullerAutomaton:
     """Accepts the binary sequences in which both letters occur
     infinitely often."""

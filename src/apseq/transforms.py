@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Alphabet, Bound, Provenance, Sequence, Word
+from .core import _CHUNK, Alphabet, Bound, Provenance, Sequence, Word
 from .errors import MachineFault, MachineParseError, SpecError
 from .generators import Morphism, periodic
 
@@ -85,6 +85,15 @@ def pair_alphabet(first: Alphabet, second: Alphabet) -> Alphabet:
 # -- morphism application -------------------------------------------------------
 
 
+def _input_chunks(x: Sequence, start: int = 0):
+    """The codes of x from ``start`` on; each chunk asks x only for its next code."""
+    i = start
+    while True:
+        xs = x.codes(i + 1)[i:i + _CHUNK]
+        i += len(xs)
+        yield xs
+
+
 def apply_morphism(phi: Morphism, x: Sequence) -> Sequence:
     """Concatenation of the letter images along the sequence.  No
     certified bound propagates: class preservation holds, but no window
@@ -94,23 +103,21 @@ def apply_morphism(phi: Morphism, x: Sequence) -> Sequence:
     table = phi.image_codes()
     if phi.erasing_ok and all(len(t) == 0 for t in table):
         raise SpecError("image collapse: every letter erased")
-    state = {"consumed": 0}
 
-    def extend(cache, target):
-        consumed = state["consumed"]
+    def chunks():
         stall = 0
-        while len(cache) < target:
-            img = table[x.code_at(consumed)]
-            cache.extend(img)
-            consumed += 1
-            stall = stall + 1 if not img else 0
-            if stall > 100_000:
-                raise SpecError("image collapse: no output over a long input stretch")
-        state["consumed"] = consumed
+        for xs in _input_chunks(x):
+            out = []
+            for c in xs:
+                img = table[c]
+                out.extend(img)
+                stall = stall + 1 if not img else 0
+                if stall > 100_000:
+                    raise SpecError("image collapse: no output over a long input stretch")
+            yield out
 
-    return Sequence(phi.target, extend,
-                    provenance=Provenance("morphism_image", {"of": str(x.provenance)}),
-                    horizon_cap=x.horizon_cap)
+    prov = Provenance("morphism_image", {"of": str(x.provenance)})
+    return Sequence.from_chunks(phi.target, chunks(), provenance=prov, horizon_cap=x.horizon_cap)
 
 
 # -- transduction ----------------------------------------------------------------
@@ -161,29 +168,6 @@ def bound_formulas(g, m: int, linear_coefficient=None) -> dict:
     return out
 
 
-def run_states(machine: Transducer, x: Sequence) -> Sequence:
-    """The state stream of the machine along the sequence (the state each
-    symbol is consumed in), as a lazy sequence over the state names."""
-    alphabet = Alphabet(machine.states)
-    insyms = x.alphabet.symbols
-    state = {"q": machine.initial, "consumed": 0}
-
-    qindex = {q: i for i, q in enumerate(machine.states)}
-
-    def extend(cache, target):
-        q, consumed = state["q"], state["consumed"]
-        step = machine.step
-        xs = x.codes(target)
-        while len(cache) < target:
-            cache.append(qindex[q])
-            q = step[(q, insyms[xs[consumed]])]
-            consumed += 1
-        state["q"], state["consumed"] = q, consumed
-
-    return Sequence(alphabet, extend,
-                    provenance=Provenance("run_states", {"of": str(x.provenance)}))
-
-
 def transduce(machine: Transducer, x: Sequence) -> Sequence:
     """The image of the sequence under the machine.  Uniform machines
     propagate a certified bound (m-fold window composition, applied
@@ -192,30 +176,25 @@ def transduce(machine: Transducer, x: Sequence) -> Sequence:
     if machine.input_alphabet != x.alphabet:
         raise SpecError("machine input alphabet does not match the sequence")
     insyms = x.alphabet.symbols
-    emit_codes = {k: w.codes for k, w in machine.emit.items()}
-    state = {"q": machine.initial, "consumed": 0}
+    emit = {k: w.codes for k, w in machine.emit.items()}
+    step = machine.step
 
-    def extend(cache, target):
-        q, consumed = state["q"], state["consumed"]
-        step, emit = machine.step, emit_codes
-        while len(cache) < target:
-            xs = x.codes(consumed + max(1024, target - len(cache)))
-            end = min(len(xs), consumed + max(1024, target - len(cache)))
-            while consumed < end and len(cache) < target:
-                a = insyms[xs[consumed]]
-                cache.extend(emit[(q, a)])
+    def chunks():
+        q = machine.initial
+        for xs in _input_chunks(x):
+            out = []
+            for c in xs:
+                a = insyms[c]
+                out.extend(emit[(q, a)])
                 q = step[(q, a)]
-                consumed += 1
-        state["q"], state["consumed"] = q, consumed
+            yield out
 
     bound = None
     if machine.uniform and x.certified_bound is not None:
         bound = bound_formulas(x.certified_bound, len(machine.states))["image"]
-    return Sequence(machine.output_alphabet, extend, bound=bound,
-                    provenance=Provenance("transduce",
-                                          {"of": str(x.provenance),
-                                           "states": len(machine.states)}),
-                    horizon_cap=x.horizon_cap)
+    prov = Provenance("transduce", {"of": str(x.provenance), "states": len(machine.states)})
+    return Sequence.from_chunks(machine.output_alphabet, chunks(), bound=bound, provenance=prov,
+                                horizon_cap=x.horizon_cap)
 
 
 def state_emitting(machine: Transducer) -> Transducer:
@@ -314,38 +293,30 @@ def split(x: Sequence, marker: str, horizon: int) -> Sequence:
             start = i + 1
     if len(blocks) < 2:
         raise SpecError(f"marker {marker!r} does not cut twice within the horizon")
-    symbols = []
-    seen = {}
+    kinds = sorted(set(blocks))
+    code_of = {b: i for i, b in enumerate(kinds)}
     insyms = x.alphabet.symbols
-    for b in sorted(set(blocks)):
-        name = "".join(insyms[c] for c in b) if x.alphabet.single_char \
-            else ",".join(insyms[c] for c in b)
-        seen[b] = name
-        symbols.append(name)
-    out = Alphabet(tuple(symbols))
-    first_len = len(blocks[0])
+    sep = "" if x.alphabet.single_char else ","
+    out = Alphabet(tuple(sep.join(insyms[c] for c in b) for b in kinds))
 
-    state = {"pos": first_len, "run": []}
+    def chunks():
+        run = []
+        for xs in _input_chunks(x, len(blocks[0])):
+            codes = []
+            for c in xs:
+                run.append(c)
+                if c == mcode:
+                    key = tuple(run)
+                    if key not in code_of:
+                        yield codes  # the blocks before the unknown one are valid
+                        raise SpecError(
+                            f"block {key} not discovered within the split horizon {horizon}")
+                    codes.append(code_of[key])
+                    run.clear()
+            yield codes
 
-    def extend(cache, target):
-        pos, run = state["pos"], state["run"]
-        while len(cache) < target:
-            c = x.code_at(pos)
-            run.append(c)
-            pos += 1
-            if c == mcode:
-                key = tuple(run)
-                if key not in seen:
-                    raise SpecError(
-                        f"block {key} not discovered within the split horizon {horizon}")
-                cache.append(out.index(seen[key]))
-                run.clear()
-        state["pos"], state["run"] = pos, run
-
-    return Sequence(out, extend,
-                    provenance=Provenance("split", {"of": str(x.provenance),
-                                                    "marker": marker, "horizon": horizon}),
-                    horizon_cap=x.horizon_cap)
+    prov = Provenance("split", {"of": str(x.provenance), "marker": marker, "horizon": horizon})
+    return Sequence.from_chunks(out, chunks(), provenance=prov, horizon_cap=x.horizon_cap)
 
 
 def unsplit(blocks: Sequence, n_blocks: int, source_alphabet: Alphabet) -> Word:
@@ -392,28 +363,28 @@ def pushdown_transduce(machine: PushdownTransducer, x: Sequence) -> Sequence:
         raise SpecError("machine input alphabet does not match the sequence")
     insyms = x.alphabet.symbols
     out = machine.output_alphabet
-    state = {"q": machine.initial, "stack": [], "consumed": 0}
 
-    def extend(cache, target):
-        q, stack, consumed = state["q"], state["stack"], state["consumed"]
-        while len(cache) < target:
-            a = insyms[x.code_at(consumed)]
-            top = stack[-1] if stack else None
-            emit, q2, action = machine.rule(q, a, top)
-            cache.extend(out.index(s) for s in emit)
-            if action[0] == "push":
-                stack.append(action[1])
-            elif action[0] == "pop":
-                if not stack:
-                    raise MachineFault("pop on empty stack")
-                stack.pop()
-            q = q2
-            consumed += 1
-        state["q"], state["stack"], state["consumed"] = q, stack, consumed
+    def chunks():
+        q, stack = machine.initial, []
+        for xs in _input_chunks(x):
+            codes = []
+            try:
+                for c in xs:
+                    emit, q, action = machine.rule(q, insyms[c], stack[-1] if stack else None)
+                    if action[0] == "push":
+                        stack.append(action[1])
+                    elif action[0] == "pop":
+                        if not stack:
+                            raise MachineFault("pop on empty stack")
+                        stack.pop()
+                    codes.extend(out.index(s) for s in emit)
+            except MachineFault:
+                yield codes  # the steps before the faulting one are valid
+                raise
+            yield codes
 
-    return Sequence(out, extend,
-                    provenance=Provenance("pushdown", {"of": str(x.provenance)}),
-                    horizon_cap=x.horizon_cap)
+    prov = Provenance("pushdown", {"of": str(x.provenance)})
+    return Sequence.from_chunks(out, chunks(), provenance=prov, horizon_cap=x.horizon_cap)
 
 
 def counterexample_machine() -> PushdownTransducer:

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from apseq import generators as G
-from apseq.core import (Alphabet, Segment, Word, agreement_length, factors,
+from apseq.core import (Alphabet, Segment, Sequence, Word, agreement_length, factors,
                         occurrences, prefix, segment, shift)
 from apseq.errors import HorizonExhausted, SpecError
 
@@ -145,14 +147,98 @@ def test_segment_invariant():
 def test_concurrent_readers():
     import threading
 
-    x = G.thue_morse()
-    want = G.thue_morse().prefix(20000).codes
-    results = [None] * 8
-    def reader(slot):
-        results[slot] = tuple(x.codes(20000)[:20000])
-    threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r == want for r in results)
+    from apseq import transforms as T
+
+    makers = (G.thue_morse, G.kolakoski,
+              lambda: T.transduce(T.cyclic_transducer(G.BINARY, 3), G.thue_morse()))
+    for make in makers:
+        x = make()
+        want = make().prefix(20000).codes
+        results = [None] * 8
+        def reader(slot):
+            results[slot] = tuple(x.codes(20000)[:20000])
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert all(r == want for r in results)
+
+
+# -- chunk-generator streams ------------------------------------------------------
+
+
+def test_from_chunks_cuts_and_keeps_leftovers():
+    pulls = []
+
+    def chunks():
+        for chunk in ([0] * 3000, [], [1] * 3000):
+            pulls.append(len(chunk))
+            yield chunk
+    want = [0] * 3000 + [1] * 3000
+    x = Sequence.from_chunks(Alphabet.binary(), chunks(), horizon_cap=5000)
+    assert x.codes(1) == want[:4096] and pulls == [3000, 0, 3000]
+    assert x.codes(4097) == want[:5000]
+    x.horizon_cap = 10**4
+    for _ in range(2):
+        with pytest.raises(HorizonExhausted):
+            x.codes(6001)
+    assert x.codes(6000) == want
+
+
+def test_from_chunks_stays_failed():
+    def chunks():
+        yield [1] * 5000
+        raise ZeroDivisionError("boom")
+    x = Sequence.from_chunks(Alphabet.binary(), chunks())
+    assert x.codes(4096)[:4096] == [1] * 4096
+    for _ in range(3):
+        with pytest.raises(ZeroDivisionError):
+            x.codes(5001)
+    assert x.prefix(5000).codes == (1,) * 5000
+
+
+def _chunk_families():
+    from apseq import transforms as T
+
+    B = G.BINARY
+    swap = G.Morphism.from_rules(B, B, {"0": "1", "1": "10"})
+    coding = G.Morphism.from_rules(B, B, {"0": "1", "1": "1"})
+    return {
+        "mechanical": lambda: G.mechanical("2/7", "1/3", "upper"),
+        "tm_morphic": lambda: G.thue_morse("morphic"),
+        "fibonacci": G.fibonacci,
+        "witness": lambda: G.aperiodicity_witness(5),
+        "coded": lambda: G.morphic(G.Morphism.from_rules(B, B, {"0": "01", "1": "0"}),
+                                   "0", coding),
+        "keane": G.keane,
+        "alternating_prefix": G.alternating_prefix_example,
+        "scheme": lambda: G.scheme_generate(G.aperiodic_scheme(), mode="GAP", junk="0110"),
+        "kolakoski": G.kolakoski,
+        "alternating_morphic": lambda: G.alternating_morphic(G.kolakoski_system()),
+        "random": lambda: G.random_sequence(B, 7),
+        "morphism_image": lambda: T.apply_morphism(swap, G.thue_morse()),
+        "transduce": lambda: T.transduce(T.cyclic_transducer(B, 3), G.thue_morse()),
+        "split": lambda: T.split(G.thue_morse(), "0", 10**4),
+        "pushdown": lambda: T.pushdown_transduce(T.counterexample_machine(),
+                                                 G.alternating_prefix_example()),
+    }
+
+
+_SCHEDULE_MAX = 9000
+_fresh_reads = {}
+
+
+@pytest.mark.parametrize("family", sorted(_chunk_families()))
+@settings(max_examples=20, deadline=None)
+@given(reads=st.lists(st.integers(0, _SCHEDULE_MAX), min_size=1, max_size=6),
+       slack=st.integers(0, _SCHEDULE_MAX))
+def test_read_schedules_match_one_fresh_read(family, reads, slack):
+    make = _chunk_families()[family]
+    if family not in _fresh_reads:
+        _fresh_reads[family] = make().codes(_SCHEDULE_MAX)[:_SCHEDULE_MAX]
+    want = _fresh_reads[family]
+    x = make()
+    x.horizon_cap = min(max(reads) + slack, _SCHEDULE_MAX) or 1
+    for n in reads:
+        assert x.codes(n)[:n] == want[:n]

@@ -7,7 +7,7 @@ from apseq import analysis as A
 from apseq import generators as G
 from apseq import transforms as T
 from apseq.core import Alphabet, agreement_length
-from apseq.errors import MachineFault, MachineParseError, SpecError
+from apseq.errors import HorizonExhausted, MachineFault, MachineParseError, SpecError
 
 B = Alphabet.binary()
 
@@ -219,6 +219,68 @@ def test_stack_blind_pushdown_equals_projection(tm):
     fst = T.Transducer(B, Alphabet.of("x", "y"), ("u", "v"), "u", emit, step)
     assert agreement_length(T.pushdown_transduce(pd, tm),
                             T.transduce(fst, tm), 10**4) is None
+
+
+# -- streams after an error ---------------------------------------------------------------
+# A derived stream whose generator raised stays failed: later reads return
+# only symbols produced before the error and raise the same class past them.
+
+
+def test_transduce_reads_input_up_to_its_cap():
+    x = G.thue_morse()
+    x.horizon_cap = 5000
+    img = T.transduce(T.identity_transducer(B), x)
+    img.codes(4096)
+    assert img.codes(4500)[:4500] == G.thue_morse().codes(4500)[:4500]
+
+
+def test_erasing_transduce_after_horizon_error(tm):
+    # emits the input symbols at odd positions and erases the others
+    emit = {("p", a): B.word("") for a in B}
+    emit.update({("r", a): B.word(a) for a in B})
+    step = {(q, a): "r" if q == "p" else "p" for q in ("p", "r") for a in B}
+    odd = T.Transducer(B, B, ("p", "r"), "p", emit, step)
+    want = T.transduce(odd, tm).codes(3000)[:3000]
+    x = G.thue_morse()
+    x.horizon_cap = 6000
+    out = T.transduce(odd, x)
+    with pytest.raises(HorizonExhausted):
+        out.codes(4096)
+    for _ in range(3):
+        try:
+            got = out.codes(3000)[:3000]
+        except HorizonExhausted:
+            continue
+        assert got == want
+    for _ in range(2):
+        with pytest.raises(HorizonExhausted):
+            out.codes(3001)
+
+
+def test_pushdown_stays_failed_after_fault(tm):
+    # faults at step 3 (state t reading 0); restarting from the initial
+    # state with the stack left behind would emit b forever
+    rules = {("s", "0", None): ("a", "t", ("push", "z")),
+             ("t", "1", "z"): ("b", "t", ("push", "z")),
+             ("s", "0", "z"): ("b", "s", ("noop",)),
+             ("s", "1", "z"): ("b", "s", ("noop",))}
+    pd = T.PushdownTransducer(B, Alphabet.of("a", "b"), ("s", "t"), "s", ("z",), rules)
+    out = T.pushdown_transduce(pd, tm)
+    for _ in range(3):
+        with pytest.raises(MachineFault):
+            out.prefix(5)
+    assert out.prefix(3).text == "abb"
+
+
+def test_split_unknown_block_after_valid_ones():
+    # only the blocks 0 and 10 are discovered; 1110 comes after 5000 of them
+    x = G.eventually_periodic("0" + "10" * 5000 + "1110", "0")
+    s = T.split(x, "0", 100)
+    assert list(s.prefix(4096)) == ["10"] * 4096
+    for _ in range(2):
+        with pytest.raises(SpecError):
+            s.prefix(5001)
+    assert list(s.prefix(5000)) == ["10"] * 5000
 
 
 # -- bound formulas ------------------------------------------------------------------------
