@@ -22,7 +22,7 @@ from . import analysis as A
 from . import generators as G
 from . import omega as O
 from . import transforms as T
-from .core import Alphabet, Sequence, Word, agreement_length
+from .core import Alphabet, Sequence, Word, agreement_length, read_records
 from .errors import (CostRefusal, GenerationStuck, HorizonExhausted,
                      MachineFault, MachineParseError, NoCertifiedBound,
                      PrecisionExhausted, SpecError, UnsupportedFeature)
@@ -66,6 +66,13 @@ class SequenceSpec:
         except KeyError:
             raise SpecError(f"family {self.family!r} requires parameter {key!r}") from None
 
+    def require_int(self, key) -> int:
+        value = self.require(key)
+        try:
+            return int(value)
+        except ValueError:
+            raise SpecError(f"parameter {key}={value!r} is not an integer") from None
+
 
 def _parse_real(text: str):
     if text == "invphi2":
@@ -82,7 +89,6 @@ def _parse_rules(text: str, alphabet=None):
         letter, image = item.split(":", 1)
         pairs[letter] = image
     if alphabet is None:
-        from .core import Alphabet
         letters = sorted(set(pairs) | {c for w in pairs.values() for c in w})
         alphabet = Alphabet(tuple(letters))
     return G.Morphism.from_rules(alphabet, alphabet, pairs)
@@ -98,32 +104,15 @@ def parse_scheme_file(path: str):
         expand: 1 = 101
         pairs: 01 10
     """
-    kind = None
-    base, expand, pairs = {}, {}, None
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("kind:"):
-                kind = line.split(":", 1)[1].strip()
-            elif line.startswith("base:"):
-                letter, word = (s.strip() for s in line.split(":", 1)[1].split("=", 1))
-                base[letter] = word
-            elif line.startswith("expand:"):
-                letter, word = (s.strip() for s in line.split(":", 1)[1].split("=", 1))
-                expand[letter] = word
-            elif line.startswith("pairs:"):
-                pairs = line.split(":", 1)[1].split()
-            else:
-                raise SpecError(f"bad scheme line {raw!r}")
-    if kind not in ("ap", "gap"):
+        head, _ = read_records(fh.read(), {"kind": str, "base": dict, "expand": dict,
+                                           "pairs": str.split}, None, SpecError)
+    if head.get("kind") not in ("ap", "gap"):
         raise SpecError("scheme file must set kind: ap or kind: gap")
-    from .core import Alphabet
-    letters = sorted({c for w in base.values() for c in w})
-    alphabet = Alphabet(tuple(letters))
-    return G.substitution_scheme(kind, alphabet, base, expand,
-                                 pairs=pairs, name=os.path.basename(path))
+    base = head.get("base", {})
+    alphabet = Alphabet(tuple(sorted({c for w in base.values() for c in w})))
+    return G.substitution_scheme(head["kind"], alphabet, base, head.get("expand", {}),
+                                 pairs=head.get("pairs"), name=os.path.basename(path))
 
 
 def parse_dfao_file(path: str) -> G.DFAO:
@@ -135,35 +124,17 @@ def parse_dfao_file(path: str) -> G.DFAO:
         output: q0 = 0
         q0 0 -> q0
     """
-    base = None
-    states = start = None
-    output = {}
-    trans = {}
     with open(path, encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("base:"):
-                base = int(line.split(":", 1)[1])
-            elif line.startswith("states:"):
-                states = tuple(line.split(":", 1)[1].split())
-            elif line.startswith("start:"):
-                start = line.split(":", 1)[1].strip()
-            elif line.startswith("output:"):
-                q, sym = (s.strip() for s in line.split(":", 1)[1].split("=", 1))
-                output[q] = sym
-            else:
-                parts = line.split()
-                if len(parts) != 4 or parts[2] != "->":
-                    raise MachineParseError(f"line {ln}: expected 'q d -> q2', got {raw!r}")
-                trans[(parts[0], int(parts[1]))] = parts[3]
-    if base is None or states is None or start is None:
+        head, arcs = read_records(fh.read(), {"base": int, "states": str.split, "start": str,
+                                              "output": dict}, "q d -> q2",
+                                  MachineParseError)
+    if not {"base", "states", "start"} <= head.keys():
         raise MachineParseError("digit automaton file missing base/states/start")
-    from .core import Alphabet
+    output = head.get("output", {})
     out_alpha = Alphabet(tuple(sorted(set(output.values()))))
     try:
-        return G.DFAO(base, states, start, trans, output, out_alpha)
+        return G.DFAO(head["base"], tuple(head["states"]), head["start"],
+                      {(q, d): q2 for q, d, q2 in arcs}, output, out_alpha)
     except SpecError as e:
         raise MachineParseError(str(e)) from None
 
@@ -223,10 +194,10 @@ def build_sequence(spec: SequenceSpec, seed=None) -> Sequence:
         pre = s.pop("base_pre", "")
         period = s.require("base_period")
         base = G.eventually_periodic(pre, period) if pre else G.periodic(period)
-        out = G.progression_rewrite(base, G.geometric_levels(int(s.require("n0")),
-                                                             int(s.require("ratio"))))
+        out = G.progression_rewrite(base, G.geometric_levels(s.require_int("n0"),
+                                                             s.require_int("ratio")))
     elif fam == "aperiodicity_witness":
-        out = G.aperiodicity_witness(int(s.require("k")))
+        out = G.aperiodicity_witness(s.require_int("k"))
     else:
         raise SpecError(f"unknown sequence family {fam!r}")
     if s.params:

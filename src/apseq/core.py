@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import HorizonExhausted, SpecError
+from .errors import ApseqError, HorizonExhausted, SpecError
 
 DEFAULT_HORIZON_CAP = 10**7
 
@@ -272,7 +272,11 @@ class Sequence:
             if n <= len(self._cache):
                 return
             target = min(-(-n // _CHUNK) * _CHUNK, self.horizon_cap)
-            self._extend(self._cache, target)
+            try:
+                self._extend(self._cache, target)
+            except ApseqError:  # codes made before the fault still serve this read
+                if len(self._cache) < n:
+                    raise
             if len(self._cache) < n:
                 raise HorizonExhausted(
                     f"{self.provenance} produced only {len(self._cache)} symbols",
@@ -323,6 +327,48 @@ class Sequence:
 
     def __repr__(self):
         return f"<Sequence {self.provenance}>"
+
+
+# -- text formats --------------------------------------------------------
+
+
+def read_records(text: str, headers: dict, arc: Optional[str], error) -> tuple:
+    """Parse the line grammar shared by apseq's text formats into
+    ``(head, arcs)``.
+
+    Blank lines and ``#`` comment lines are skipped.  A ``key: value`` line
+    with a key in ``headers`` sets ``head[key] = headers[key](value)``, or
+    for a ``dict`` key adds its ``name = value`` to ``head[key]``.  Any
+    other line is an arc of the shape ``arc`` ("q a -> q2", "q a -> w q2",
+    or "q d -> q2" with an integer d), kept as its tokens without the
+    arrow.  A line that fits neither, or a value that its converter rejects
+    with ValueError, raises ``error`` naming the line.
+    """
+    shape = arc.split() if arc else []
+    head, arcs = {}, []
+    for ln, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition(":")
+        parts = line.split()
+        try:
+            if sep and key in headers and headers[key] is dict:
+                name, eq, value = value.partition("=")
+                if not eq:
+                    raise ValueError(value)
+                head.setdefault(key, {})[name.strip()] = value.strip()
+            elif sep and key in headers:
+                head[key] = headers[key](value.strip())
+            elif len(parts) == len(shape) and parts[shape.index("->")] == "->":
+                arcs.append(tuple(int(p) if s == "d" else p
+                                  for s, p in zip(shape, parts) if s != "->"))
+            else:
+                raise error(f"line {ln}: expected '{arc}', got {raw!r}" if arc
+                            else f"line {ln}: unknown header in {raw!r}")
+        except ValueError:
+            raise error(f"line {ln}: bad value in {raw!r}") from None
+    return head, arcs
 
 
 # -- operations ----------------------------------------------------------
@@ -393,4 +439,4 @@ def shift(x: Sequence, n: int) -> Sequence:
 
     return Sequence(x.alphabet, extend,
                     provenance=Provenance("shift", {"of": str(x.provenance), "by": n}),
-                    horizon_cap=x.horizon_cap)
+                    horizon_cap=x.horizon_cap - n)

@@ -6,7 +6,7 @@ regulator bound; all other families are empirical-only.  Bounds ship for:
 * periodic / eventually periodic words (exact formulas),
 * the doubling construction behind :func:`thue_morse`,
 * block products whose blocks all contain both letters,
-* pair-scheme generation (:func:`scheme_generate` over a :class:`GapScheme`),
+* pair-scheme generation (:func:`scheme_generate` over a pair :class:`Scheme`),
 * :func:`progression_rewrite` over phase-aligned eventually periodic bases.
 """
 
@@ -173,10 +173,11 @@ class RealParam:
         if isinstance(value, RealParam):
             return value
         if isinstance(value, str):
-            if "/" in value:
-                num, den = value.split("/")
+            try:
+                num, den = value.split("/") if "/" in value else (value, 1)
                 return RealParam(exact=Fraction(int(num), int(den)))
-            return RealParam(exact=Fraction(int(value)))
+            except (ValueError, ZeroDivisionError):
+                raise SpecError(f"bad rational {value!r} (expected an integer or p/q)") from None
         return RealParam(exact=Fraction(value))
 
     def enclosure(self, eps: Fraction):
@@ -433,10 +434,14 @@ class DFAO:
     def __post_init__(self):
         if self.base < 2:
             raise SpecError("DFAO base must be >= 2")
+        if self.initial not in self.states:
+            raise SpecError(f"start state {self.initial!r} is not among the states")
         for q in self.states:
             for d in range(self.base):
                 if (q, d) not in self.transition:
                     raise SpecError(f"transition missing for ({q!r}, {d})")
+                if self.transition[(q, d)] not in self.states:
+                    raise SpecError(f"transition ({q!r}, {d}) to unknown state")
             if q not in self.output:
                 raise SpecError(f"output missing for state {q!r}")
 
@@ -576,39 +581,25 @@ def alternating_prefix_example() -> Sequence:
 
 
 @dataclass(frozen=True)
-class GapScheme:
-    """Level-indexed block system (l_n, B_n, C_n).
-
-    ``level`` maps n to (l_n, tuple of B_n words, tuple of C_n words).
-    Conditions (checkable to any depth via :func:`scheme_validate`):
+class Scheme:
+    """Level-indexed block system: ``level`` maps n to (l_n, B_n), or to
+    (l_n, B_n, C_n) for a pair scheme.  Conditions (checkable to any depth
+    via :func:`scheme_validate`; 2 and 4 apply to pair schemes only):
 
     1. every B_n word has length l_n;
     2. every C_n word is v1 v2 with halves in B_n, and every B_n word is
        used in the first position of some C_n word and in the second
        position of some C_n word;
-    3. every B_{n+1} word splits into B_n blocks with consecutive pairs in
-       C_n and realizes every C_n word at some junction;
+    3. every B_{n+1} word splits into B_n blocks; with pairs, its
+       consecutive blocks form C_n words and it realizes every C_n word at
+       some junction; without pairs, it contains every B_n word;
     4. the middle junction of every C_{n+1} word lies in C_n.
     """
 
     alphabet: Alphabet
     level: "callable"
-    name: str = "gap-scheme"
+    name: str = "scheme"
     level_length: "callable | None" = None  # n -> l_n without building words
-
-    def length(self, n: int) -> int:
-        return self.level_length(n) if self.level_length else self.level(n)[0]
-
-
-@dataclass(frozen=True)
-class ApScheme:
-    """Level-indexed block system (l_n, B_n): every B_{n+1} word is a
-    concatenation of B_n words containing every B_n word at least once."""
-
-    alphabet: Alphabet
-    level: "callable"
-    name: str = "ap-scheme"
-    level_length: "callable | None" = None
 
     def length(self, n: int) -> int:
         return self.level_length(n) if self.level_length else self.level(n)[0]
@@ -621,9 +612,18 @@ def substitution_scheme(kind: str, alphabet: Alphabet, base: dict, expand: dict,
     expand[a].  For a pair scheme, ``pairs`` lists two-letter strings ab
     meaning w_n(a) w_n(b) belongs to C_n."""
     letters = list(expand.keys())
+    if kind not in ("ap", "gap"):
+        raise SpecError("scheme kind must be 'ap' or 'gap'")
+    if not letters:
+        raise SpecError("a scheme needs at least one expansion")
     for a in letters:
-        if a not in base:
-            raise SpecError(f"no base word for scheme letter {a!r}")
+        for b in (a, *expand[a]):
+            if b not in base or b not in expand:
+                raise SpecError(f"scheme letter {b!r} needs both a base word and an expansion")
+    if kind == "gap" and not pairs:
+        raise SpecError("a pair scheme needs its junction pairs")
+    if kind == "gap" and any(len(p) != 2 or not set(p) <= set(letters) for p in pairs):
+        raise SpecError(f"junction pairs {pairs} are not all two scheme letters")
 
     @lru_cache(maxsize=None)
     def words(n: int) -> dict:
@@ -645,35 +645,22 @@ def substitution_scheme(kind: str, alphabet: Alphabet, base: dict, expand: dict,
         l0, k = base_lens.pop(), expand_lens.pop()
         length_fn = lambda n: l0 * k**n
 
-    if kind == "ap":
-        def level(n):
-            ws = words(n)
-            ln = len(next(iter(ws.values())))
-            return ln, tuple(ws[a] for a in letters)
+    def level(n):
+        ws = words(n)
+        data = len(ws[letters[0]]), tuple(ws[a] for a in letters)
+        return data + (tuple(ws[a] + ws[b] for a, b in pairs),) if kind == "gap" else data
 
-        return ApScheme(alphabet, level, name, length_fn)
-    if kind == "gap":
-        if not pairs:
-            raise SpecError("a pair scheme needs its junction pairs")
-
-        def level(n):
-            ws = words(n)
-            ln = len(next(iter(ws.values())))
-            return (ln, tuple(ws[a] for a in letters),
-                    tuple(ws[a] + ws[b] for a, b in pairs))
-
-        return GapScheme(alphabet, level, name, length_fn)
-    raise SpecError("scheme kind must be 'ap' or 'gap'")
+    return Scheme(alphabet, level, name, length_fn)
 
 
-def doubling_scheme() -> ApScheme:
+def doubling_scheme() -> Scheme:
     """B_n = {b_n, ~b_n} with b_{n+1} = b_n ~b_n: the scheme behind the
     invert-and-append sequence."""
     return substitution_scheme("ap", BINARY, {"0": "0", "1": "1"},
                                {"0": "01", "1": "10"}, name="doubling")
 
 
-def pair_alternation_scheme() -> GapScheme:
+def pair_alternation_scheme() -> Scheme:
     """Ratio-3 pair scheme over {01, 10}: every level alternates a word
     with its complement.  Generates the period-4 word 0110 repeated; its
     interest is the scheme-derived certified bound."""
@@ -682,7 +669,7 @@ def pair_alternation_scheme() -> GapScheme:
         pairs=["01", "10"], name="pair-alternation")
 
 
-def aperiodic_scheme() -> GapScheme:
+def aperiodic_scheme() -> Scheme:
     """Ratio-4 pair scheme whose unique output is aperiodic: level words
     U, V expand to UUVU and UVUU with junction pairs UU, UV, VU.  Both
     expansions start with U, so the prefix chain is forced and the
@@ -692,7 +679,7 @@ def aperiodic_scheme() -> GapScheme:
         pairs=["00", "01", "10"], name="aperiodic")
 
 
-def choice_scheme() -> GapScheme:
+def choice_scheme() -> Scheme:
     """Ratio-5 pair scheme with all four junction pairs: both letters
     expand to words starting with themselves (UUVVU and VVUUV), so every
     level offers a genuine continuation choice and the scheme generates a
@@ -724,7 +711,7 @@ def scheme_validate(scheme, depth: int) -> list:
     if depth < 1:
         raise SpecError("depth must be >= 1")
     out = []
-    is_gap = isinstance(scheme, GapScheme)
+    is_gap = len(scheme.level(0)) == 3
     for n in range(depth + 1):
         data = scheme.level(n)
         ln, bn = data[0], set(data[1])
@@ -806,7 +793,7 @@ def scheme_generate(scheme, mode: str = "AP", policy="lex", seed=None,
     AP-scheme outputs carry no bound: no window argument is available
     without the pair sets.
     """
-    is_gap = isinstance(scheme, GapScheme)
+    is_gap = len(scheme.level(0)) == 3
     if mode not in ("AP", "GAP"):
         raise SpecError("mode must be 'AP' or 'GAP'")
     if mode == "GAP" and not is_gap:
@@ -815,6 +802,8 @@ def scheme_generate(scheme, mode: str = "AP", policy="lex", seed=None,
     if mode == "AP" and len(junk_word):
         raise SpecError("junk prefix only makes sense in GAP mode")
 
+    if policy == "random" and seed is None:
+        raise SpecError("the random policy needs a seed")
     rng = _random.Random(seed)
 
     def candidates(level_n: int, prev: Word | None):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Alphabet, Bound, Segment, Sequence
+from .core import Alphabet, Bound, Segment, Sequence, read_records
 from .errors import CostRefusal, MachineParseError, NoCertifiedBound, SpecError, UnsupportedFeature
 from .transforms import bound_formulas
 
@@ -67,6 +67,8 @@ class BuchiAutomaton:
             raise SpecError("initial state missing")
         if not self.accepting <= set(self.states):
             raise SpecError("accepting states outside the state set")
+        if not {s for q, _a, q2 in self.transitions for s in (q, q2)} <= set(self.states):
+            raise SpecError("transition from or to unknown state")
 
     @property
     def deterministic(self) -> bool:
@@ -141,10 +143,13 @@ def _certified_limit_set(automaton, x: Sequence):
     xs = x.codes(2 * w)
     q = automaton.initial
     seen = set()
-    for i in range(2 * w):
-        if i >= w:
-            seen.add(q)
-        q = delta[(q, syms[xs[i]])]
+    try:
+        for i in range(2 * w):
+            if i >= w:
+                seen.add(q)
+            q = delta[(q, syms[xs[i]])]
+    except KeyError as e:
+        raise SpecError(f"automaton has no transition at {e.args[0]}") from None
     return frozenset(seen), Segment(w, 2 * w - 1), g.provenance
 
 
@@ -191,44 +196,29 @@ def print_automaton(automaton) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _accept_sets(value: str) -> frozenset:
+    return frozenset(frozenset(part.strip("{}").split(",")) if part.strip("{}") else frozenset()
+                     for part in value.split())
+
+
 def parse_automaton(text: str):
     """Parse the text format; returns a MullerAutomaton when an
     ``accept-sets:`` line is present, else a BuchiAutomaton."""
-    states = start = None
-    alphabet = None
-    arcs = []
-    accept_sets = None
-    accept = None
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("states:"):
-            states = tuple(line.split(":", 1)[1].split())
-        elif line.startswith("start:"):
-            start = line.split(":", 1)[1].strip()
-        elif line.startswith("alphabet:"):
-            alphabet = Alphabet(tuple(line.split(":", 1)[1].split()))
-        elif line.startswith("accept-sets:"):
-            accept_sets = frozenset(
-                frozenset(part.strip("{}").split(",")) if part.strip("{}") else frozenset()
-                for part in line.split(":", 1)[1].split())
-        elif line.startswith("accept:"):
-            accept = frozenset(line.split(":", 1)[1].split())
-        else:
-            parts = line.split()
-            if len(parts) != 4 or parts[2] != "->":
-                raise MachineParseError(f"line {ln}: expected 'q a -> q2', got {raw!r}")
-            arcs.append((parts[0], parts[1], parts[3]))
-    if states is None or start is None or alphabet is None:
+    head, arcs = read_records(
+        text, {"states": str.split, "start": str, "accept": str.split,
+               "alphabet": lambda v: Alphabet(tuple(v.split())), "accept-sets": _accept_sets},
+        "q a -> q2", MachineParseError)
+    if not {"states", "start", "alphabet"} <= head.keys():
         raise MachineParseError("missing states:, start:, or alphabet: header")
+    alphabet, states, start = head["alphabet"], tuple(head["states"]), head["start"]
     try:
-        if accept_sets is not None:
+        if "accept-sets" in head:
             delta = {(q, a): q2 for q, a, q2 in arcs}
-            return MullerAutomaton(alphabet, states, start, delta, accept_sets)
-        if accept is None:
+            return MullerAutomaton(alphabet, states, start, delta, head["accept-sets"])
+        if "accept" not in head:
             raise MachineParseError("missing accept: or accept-sets: line")
-        return BuchiAutomaton(alphabet, states, start, frozenset(arcs), accept)
+        return BuchiAutomaton(alphabet, states, start, frozenset(arcs),
+                              frozenset(head["accept"]))
     except SpecError as e:
         raise MachineParseError(str(e)) from None
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _CHUNK, Alphabet, Bound, Provenance, Sequence, Word
+from .core import _CHUNK, Alphabet, Bound, Provenance, Sequence, Word, read_records
 from .errors import MachineFault, MachineParseError, SpecError
 from .generators import Morphism, periodic
 
@@ -432,23 +432,9 @@ def print_transducer(machine: Transducer) -> str:
 def parse_transducer(text: str, input_alphabet: Alphabet | None = None,
                      output_alphabet: Alphabet | None = None) -> Transducer:
     """Parse the text format; alphabets default to the symbols seen."""
-    states = None
-    start = None
-    arcs = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("states:"):
-            states = tuple(line.split(":", 1)[1].split())
-        elif line.startswith("start:"):
-            start = line.split(":", 1)[1].strip()
-        else:
-            parts = line.split()
-            if len(parts) != 5 or parts[2] != "->":
-                raise MachineParseError(f"line {ln}: expected 'q a -> w q2', got {raw!r}")
-            arcs.append((parts[0], parts[1], parts[3], parts[4]))
-    if states is None or start is None:
+    head, arcs = read_records(text, {"states": str.split, "start": str}, "q a -> w q2",
+                              MachineParseError)
+    if not {"states", "start"} <= head.keys():
         raise MachineParseError("missing states: or start: header")
     in_syms = sorted({a for (_q, a, _w, _q2) in arcs})
     if input_alphabet is None:
@@ -461,6 +447,7 @@ def parse_transducer(text: str, input_alphabet: Alphabet | None = None,
         emit[(q, a)] = output_alphabet.word("" if w == "-" else w)
         step[(q, a)] = q2
     try:
-        return Transducer(input_alphabet, output_alphabet, states, start, emit, step)
+        return Transducer(input_alphabet, output_alphabet, tuple(head["states"]), head["start"],
+                          emit, step)
     except SpecError as e:
         raise MachineParseError(str(e)) from None

@@ -1,11 +1,18 @@
 import contextlib
+import importlib.util
 import io
 import os
+from pathlib import Path
 
 import pytest
 
-from apseq.cli import SequenceSpec, build_sequence, main
+from apseq import generators as G
+from apseq import omega as O
+from apseq import transforms as T
+from apseq.cli import SequenceSpec, build_sequence, main, parse_dfao_file, parse_scheme_file
 from apseq.errors import SpecError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(argv):
@@ -29,6 +36,34 @@ IDENTITY = """states: q0
 start: q0
 q0 0 -> 0 q0
 q0 1 -> 1 q0
+"""
+
+
+DIGITS = """base: 2
+states: e o
+start: e
+output: e = 0
+output: o = 1
+e 0 -> e
+e 1 -> o
+o 0 -> o
+o 1 -> e
+"""
+
+PAIRS = """kind: gap
+base: 0 = 01
+base: 1 = 10
+expand: 0 = 010
+expand: 1 = 101
+pairs: 01 10
+"""
+
+CHOICE = """kind: gap
+base: 0 = 0
+base: 1 = 1
+expand: 0 = 00110
+expand: 1 = 11001
+pairs: 00 01 10 11
 """
 
 
@@ -243,3 +278,87 @@ def test_compare():
                         "--spec-b", "alternating_morphic rules=1:2,2:22|1:1,2:11 seed=2",
                         "--horizon", "20000"])
     assert "agreement >= 20000" in out
+
+
+# -- malformed input -------------------------------------------------------------------
+
+GEN = "gen --n 8 --spec "
+DECIDE = "decide --automaton {f} --spec "
+BUCHI = TRACKER.replace("accept-sets: {q0,q1}", "accept: q1")
+
+MALFORMED = {
+    # name: (input file text, command line with {f} for its path, exit code)
+    "scheme-base-without-eq": (PAIRS.replace("base: 0 = 01", "base: 0"),
+                               GEN + "scheme file={f}", 2),
+    "scheme-letter-without-base": (PAIRS.replace("expand: 0 = 010", "expand: 0 = 012"),
+                                   GEN + "scheme file={f}", 2),
+    "scheme-pair-of-unknown-letter": (PAIRS.replace("pairs: 01 10", "pairs: 01 12"),
+                                      GEN + "scheme file={f}", 2),
+    "scheme-without-expansions": (PAIRS.replace("expand:", "# expand:"),
+                                  GEN + "scheme file={f}", 2),
+    "scheme-random-without-seed": (CHOICE, GEN + "scheme file={f} policy=random", 2),
+    "digits-output-without-eq": (DIGITS.replace("output: e = 0", "output: e"),
+                                 GEN + "automatic file={f}", 4),
+    "digits-base-not-a-number": (DIGITS.replace("base: 2", "base: x"),
+                                 GEN + "automatic file={f}", 4),
+    "digits-digit-not-a-number": (DIGITS.replace("e 1 -> o", "e x -> o"),
+                                  GEN + "automatic file={f}", 4),
+    "digits-start-outside-states": (DIGITS.replace("start: e", "start: z"),
+                                    GEN + "automatic file={f}", 4),
+    "digits-arc-to-unknown-state": (DIGITS.replace("e 1 -> o", "e 1 -> z"),
+                                    GEN + "automatic file={f}", 4),
+    "buchi-arc-to-unknown-state": (BUCHI.replace("q0 1 -> q1", "q0 1 -> q9"),
+                                   DECIDE + "thue_morse", 4),
+    "automaton-alphabet-misses-letters": (TRACKER, DECIDE + "periodic period=ab", 2),
+    "alpha-not-a-number": ("", GEN + "mechanical alpha=abc rho=0", 2),
+    "alpha-zero-denominator": ("", GEN + "mechanical alpha=1/0 rho=0", 2),
+    "alpha-two-slashes": ("", GEN + "mechanical alpha=1/2/3 rho=0", 2),
+    "k-not-a-number": ("", GEN + "aperiodicity_witness k=x", 2),
+    "n0-not-a-number": ("", GEN + "progression_rewrite base_period=01 n0=x ratio=2", 2),
+}
+
+
+@pytest.mark.parametrize("text, command, code", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_input_exits_with_error(tmp_path, text, command, code):
+    path = tmp_path / "input"
+    path.write_text(text)
+    got, out, err = run(command.format(f=path).split(" ", 4))
+    assert (got, out) == (code, "")
+    assert err.startswith("error:")
+
+
+def test_random_scheme_policy_follows_seed(tmp_path):
+    path = tmp_path / "choice.scheme"
+    path.write_text(CHOICE)
+    argv = ["--seed", "3", "gen", "--n", "40", "--spec", f"scheme file={path} policy=random"]
+    code, out, _ = run(argv)
+    assert code == 0 and run(argv)[1] == out
+    want = G.scheme_generate(G.choice_scheme(), policy="random", seed=3).prefix(40).text
+    assert out.strip() == want
+
+
+def test_readme_file_formats_parse(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### File formats", 1)[1].split("\n## ", 1)[0]
+    machine, automaton, digits, scheme = section.split("```\n")[1::2]
+    printed = T.print_transducer(T.parse_transducer(machine))
+    assert T.print_transducer(T.parse_transducer(printed)) == printed
+    assert isinstance(O.parse_automaton(automaton), O.MullerAutomaton)
+    (tmp_path / "digits").write_text(digits)
+    x = G.automatic(parse_dfao_file(str(tmp_path / "digits")))
+    assert x.prefix(8).text == "01101001"
+    (tmp_path / "scheme").write_text(scheme)
+    assert G.scheme_validate(parse_scheme_file(str(tmp_path / "scheme")), 3) == []
+
+
+def test_tracer_reaches_every_traced_name():
+    # perfbench/tracing.py patches package functions by name for --trace 1
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert tracing.Tracer.leftovers() == []

@@ -198,6 +198,31 @@ def test_from_chunks_stays_failed():
     assert x.prefix(5000).codes == (1,) * 5000
 
 
+def test_reads_of_produced_positions_succeed():
+    # each stream stops or fails after its first few symbols; a first read
+    # of those symbols succeeds and a read past them still raises
+    from apseq import transforms as T
+
+    B = G.BINARY
+    erase = G.Morphism.from_rules(B, B, {"0": "", "1": "1"}, erasing_ok=True)
+    collapsed = T.apply_morphism(erase, G.eventually_periodic("1", "0"))
+    assert collapsed.prefix(1).text == "1"
+    with pytest.raises(SpecError):
+        collapsed.prefix(2)
+    stalled = G.block_product_seq(lambda k: "01" if k < 5 else "0")
+    assert stalled.prefix(1).text == "0"
+    assert len(stalled.prefix(32)) == 32
+    with pytest.raises(HorizonExhausted):
+        stalled.prefix(33)
+    tm = G.thue_morse()
+    tm.horizon_cap = 5000
+    shifted = shift(tm, 10)
+    assert shifted.codes(4500)[:4500] == tm.codes(4510)[10:4510]
+    assert len(shifted.codes(4990)) == 4990
+    with pytest.raises(HorizonExhausted):
+        shifted.codes(4991)
+
+
 def _chunk_families():
     from apseq import transforms as T
 

@@ -237,7 +237,7 @@ def test_scheme_validate_violations():
         l = 2 ** n
         words = (Word(B, (0,) * l), Word(B, (1,) * (l + (1 if n == 2 else 0))))
         return l, words
-    bad = G.ApScheme(B, bad_level)
+    bad = G.Scheme(B, bad_level)
     viols = G.scheme_validate(bad, 3)
     assert any(v.level == 2 and v.condition == 1 for v in viols)
 
@@ -248,7 +248,7 @@ def test_scheme_validate_violations():
         b = a.complement()
         pairs = (a + b,)  # b never appears as the second half
         return l, (a, b), pairs
-    viols = G.scheme_validate(G.GapScheme(B, bad_gap), 1)
+    viols = G.scheme_validate(G.Scheme(B, bad_gap), 1)
     assert any(v.condition == 2 and "second" in v.message for v in viols)
 
     # straddling pair of a level-1 pair word escapes the level-0 pair set
@@ -260,7 +260,7 @@ def test_scheme_validate_violations():
             a, b = bn
             return ln, bn, (a + a, b + b)  # middles (01,01),(10,10) not in C_0
         return ln, bn, cn
-    viols = G.scheme_validate(G.GapScheme(B, bad_straddle), 1)
+    viols = G.scheme_validate(G.Scheme(B, bad_straddle), 1)
     assert any(v.condition == 4 for v in viols)
 
 
@@ -302,7 +302,7 @@ def test_scheme_generate_stuck():
             return 2, (Word(B, (0, 1)),)
         return 2 ** n, (Word(B, (1,) * 2 ** n),)
     with pytest.raises(GenerationStuck):
-        G.scheme_generate(G.ApScheme(B, level)).prefix(4)
+        G.scheme_generate(G.Scheme(B, level)).prefix(4)
 
 
 def test_gap_generation_window_constraints(branching_seq, scheme_seq):
