@@ -6,6 +6,12 @@ that works.  Factors whose last occurrence dies before the half-horizon
 are treated as finitely occurring: they move from the coverage condition
 to the cutoff condition, mirroring the two-part regulator of generalized
 almost periodicity.
+
+Factor statistics share one kernel: every length-n window of a prefix gets
+an int64 id, equal exactly when the windows are equal and ordered like the
+windows (lexicographically).  Grouping the windows by id gives, per
+distinct factor, its first and last start and the largest step between
+consecutive starts, from which every coverage value follows.
 """
 
 from __future__ import annotations
@@ -101,46 +107,59 @@ class ProuhetReport:
 # -- factor statistics -------------------------------------------------------
 
 
-def _window_codes(arr: np.ndarray, n: int, k: int) -> np.ndarray:
-    m = arr.size - n + 1
-    codes = np.zeros(m, dtype=np.int64)
-    for j in range(n):
-        codes *= k
-        codes += arr[j:j + m]
-    return codes
+def _window_ids(arr: np.ndarray, n: int, k: int) -> np.ndarray:
+    """int64 id of every length-n window of arr over k letters: base-k
+    codes up to the widest window whose code stays below 2**62."""
+    width = 1
+    while width < n and k ** (width + 1) <= 2**62:
+        width += 1
+    m = arr.size - width + 1
+    ids = np.zeros(m, dtype=np.int64)
+    for j in range(width):
+        ids *= k
+        ids += arr[j:j + m]
+    return ids if width == n else _factor_groups_slow(ids, width, n)
+
+
+def _factor_groups_slow(ids: np.ndarray, width: int, n: int) -> np.ndarray:
+    """Extend ids of the width-wide windows to length-n windows by prefix
+    doubling: a wider window is the pair of its first and last width-wide
+    windows, which overlap or abut, and rank * count + rank over the
+    distinct ids keeps the pairs' lexicographic order."""
+    while width < n:
+        step = min(width, n - width)
+        uniq, rank = np.unique(ids, return_inverse=True)
+        ids = rank[:-step] * uniq.size + rank[step:]
+        width += step
+    return ids
+
+
+def _id_groups(ids: np.ndarray):
+    """(first, last, max_gap) arrays over the distinct ids, in id order;
+    max_gap is the largest step between consecutive occurrences (0 for a
+    single one)."""
+    m = ids.size
+    if ids.max() >= 2**62 // m:  # re-rank so that id * m + position fits
+        ids = np.unique(ids, return_inverse=True)[1]
+    # one sort of id * m + position orders by id, then by position
+    sid, pos = np.divmod(np.sort(ids * m + np.arange(m)), m)
+    starts = np.flatnonzero(np.concatenate(([True], sid[1:] != sid[:-1])))
+    steps = np.diff(pos, prepend=0)
+    steps[starts] = 0
+    ends = np.append(starts[1:], m) - 1
+    return pos[starts], pos[ends], np.maximum.reduceat(steps, starts)
 
 
 def _factor_groups(x: Sequence, n: int, horizon: int):
-    """Yield (first, last, maxgap, positions) per distinct length-n factor
-    of the horizon prefix, with positions ascending."""
-    arr = x.prefix_array(horizon)
-    k = len(x.alphabet)
-    if n * max(1, k - 1).bit_length() > 62 or k**n > 2**62:
-        return _factor_groups_slow(arr, n)
-    codes = _window_codes(arr, n, k)
-    order = np.argsort(codes, kind="stable")
-    sc = codes[order]
-    cuts = np.flatnonzero(np.diff(sc)) + 1
-    starts = np.concatenate(([0], cuts))
-    ends = np.concatenate((cuts, [sc.size]))
-    out = []
-    for a, b in zip(starts, ends):
-        pos = order[a:b]
-        gap = int(np.diff(pos).max()) if b - a > 1 else 0
-        out.append((int(pos[0]), int(pos[-1]), gap, pos))
-    return out
+    """(first, last, max_gap) per distinct length-n factor of the horizon
+    prefix, in lexicographic order of the factors."""
+    return _id_groups(_window_ids(x.prefix_array(horizon), n, len(x.alphabet)))
 
 
-def _factor_groups_slow(arr: np.ndarray, n: int):
-    seen = {}
-    lst = arr.tolist()
-    for i in range(len(lst) - n + 1):
-        seen.setdefault(tuple(lst[i:i + n]), []).append(i)
-    out = []
-    for pos in seen.values():
-        gap = max((b - a for a, b in zip(pos, pos[1:])), default=0)
-        out.append((pos[0], pos[-1], gap, np.array(pos)))
-    return out
+def _coverage(first, last, gap, n: int, horizon: int):
+    """Minimal l such that every length-l window inside the horizon holds
+    an occurrence of a factor with these first, last and max_gap values."""
+    return np.maximum(np.maximum(first + n, gap + n - 1), horizon - last)
 
 
 def _factor_word(x: Sequence, start: int, n: int) -> Word:
@@ -155,7 +174,7 @@ def subword_complexity(x: Sequence, n: int, horizon: int) -> int:
     """
     if horizon < n:
         raise SpecError("horizon must be at least n")
-    return len(_factor_groups(x, n, horizon))
+    return _factor_groups(x, n, horizon)[0].size
 
 
 def empirical_regulator(x: Sequence, n: int, horizon: int) -> RegulatorReport:
@@ -164,29 +183,12 @@ def empirical_regulator(x: Sequence, n: int, horizon: int) -> RegulatorReport:
     occurring factor starts at or past l."""
     if horizon < 4 * n:
         raise SpecError("horizon must be at least 4*n for a meaningful estimate")
-    best = n
-    finite = []
-    for first, last, gap, _pos in _factor_groups(x, n, horizon):
-        if last < horizon // 2:
-            finite.append((last, first))
-            continue
-        best = max(best, first + n, gap + n - 1, horizon - last)
-    finite_words = []
-    for last, first in finite:
-        best = max(best, last + 1)
-        finite_words.append(_factor_word(x, first, n))
-    return RegulatorReport(n, best, "empirical-lower", horizon, finite_words)
-
-
-def _coverage_in_word(wcodes, ucodes) -> int | None:
-    """Minimal l such that u occurs in every length-l window of the finite
-    word w (None when u does not occur at all)."""
-    n, m = len(ucodes), len(wcodes)
-    pos = [i for i in range(m - n + 1) if tuple(wcodes[i:i + n]) == tuple(ucodes)]
-    if not pos:
-        return None
-    gap = max((b - a for a, b in zip(pos, pos[1:])), default=0)
-    return max(pos[0] + n, gap + n - 1, m - pos[-1])
+    first, last, gap = _factor_groups(x, n, horizon)
+    finite = last < horizon // 2
+    best = max(_coverage(first, last, gap, n, horizon)[~finite].max(initial=n),
+               last[finite].max(initial=-1) + 1)
+    finite_words = [_factor_word(x, int(i), n) for i in first[finite]]
+    return RegulatorReport(n, int(best), "empirical-lower", horizon, finite_words)
 
 
 def certified_regulator(x: Sequence, n: int) -> RegulatorReport:
@@ -197,39 +199,29 @@ def certified_regulator(x: Sequence, n: int) -> RegulatorReport:
       occurs finitely often;
     * l1 cuts off the finitely occurring factors;
     * l2 is the window length after which every infinitely occurring
-      factor appears inside every window of every length-f(n) factor
-      (the set of those is obtained from a certified prefix as well);
+      factor appears inside every window of every length-f(n) factor of a
+      certified prefix; a length-f(n) factor lacks the factor exactly when
+      the coverage over that whole prefix exceeds f(n), and otherwise the
+      largest coverage inside one such factor equals it;
     * the regulator is max(l1, l2).
     """
     if x.certified_bound is None:
         raise SpecError("certified_regulator needs a sequence with a certified bound")
     f = x.certified_bound
     fn = f(n)
-    inf_factors = {w.codes for w in x.segment(Segment(fn, 2 * fn)).factors(n)}
-    all_early = {w.codes for w in x.prefix(fn + n + 1).factors(n)}
-    finite_factors = all_early - inf_factors
-
-    l1 = 0
-    finite_words = []
-    if finite_factors:
-        pref = x.codes(fn + n)
-        for uc in finite_factors:
-            last = max(i for i in range(fn) if tuple(pref[i:i + n]) == uc)
-            l1 = max(l1, last + 1)
-            finite_words.append(Word(x.alphabet, uc))
-
     ffn = f(fn)
-    k_horizon = max(2 * ffn, ffn + fn) + 1
-    K = x.prefix(k_horizon).factors(fn)
-
-    l2 = n
-    for w in K:
-        for uc in inf_factors:
-            cov = _coverage_in_word(w.codes, uc)
-            if cov is None:
-                raise SpecError(
-                    f"certified bound violated: factor missing from a length-{fn} factor")
-            l2 = max(l2, cov)
+    horizon = max(2 * ffn, ffn + fn) + 1
+    ids = _window_ids(x.prefix_array(horizon), n, len(x.alphabet))
+    first, last, gap = _id_groups(ids)
+    group_ids = ids[first]
+    recurring = np.isin(group_ids, ids[fn:2 * fn - n + 2])       # factors of x[fn, 2 f(n)]
+    finite = np.isin(group_ids, ids[:fn + 2]) & ~recurring       # other factors of x[0, f(n) + n]
+    dying = np.flatnonzero(np.isin(ids[:fn], group_ids[finite]))
+    l1 = int(dying[-1]) + 1 if dying.size else 0
+    l2 = int(_coverage(first, last, gap, n, horizon)[recurring].max(initial=n))
+    if l2 > fn:
+        raise SpecError(f"certified bound violated: factor missing from a length-{fn} factor")
+    finite_words = [_factor_word(x, int(i), n) for i in first[finite]]
     return RegulatorReport(n, max(l1, l2), "certified-exact",
                            finitely_occurring=finite_words)
 
@@ -250,12 +242,9 @@ def check_certified_bound(x: Sequence, n: int, horizon: int) -> bool:
     fn = f(n)
     if horizon < 2 * fn + 2 * n:
         raise SpecError("horizon too small to exercise the bound")
-    for first, last, gap, _pos in _factor_groups(x, n, horizon):
-        if last < fn:
-            continue  # finitely occurring within view; cutoff satisfied
-        if max(first + n, gap + n - 1, horizon - last) > fn:
-            return False
-    return True
+    first, last, gap = _factor_groups(x, n, horizon)
+    recurring = last >= fn  # the others occur finitely within view; cutoff satisfied
+    return bool((_coverage(first, last, gap, n, horizon)[recurring] <= fn).all())
 
 
 def prefix_regulator(x: Sequence, n: int, horizon: int) -> int:
@@ -263,17 +252,10 @@ def prefix_regulator(x: Sequence, n: int, horizon: int) -> int:
     window inside the horizon."""
     if horizon < 4 * n:
         raise SpecError("horizon must be at least 4*n")
-    arr = x.prefix_array(horizon)
-    target = arr[:n]
-    m = horizon - n + 1
-    hits = np.ones(m, dtype=bool)
-    for j in range(n):
-        hits &= arr[j:j + m] == target[j]
-    pos = np.flatnonzero(hits)
+    pos = np.flatnonzero(_occurrence_hits(x, x.prefix(n), horizon - n + 1))
     if pos.size < 2:
         raise HorizonExhausted(f"prefix of length {n} does not recur within {horizon}")
-    gap = int(np.diff(pos).max()) if pos.size > 1 else 0
-    return max(n, int(pos[0]) + n, gap + n - 1, horizon - int(pos[-1]))
+    return int(_coverage(pos[0], pos[-1], np.diff(pos).max(), n, horizon))
 
 
 @dataclass
@@ -648,7 +630,8 @@ def stabilization_prefix(x: Sequence, max_len: int, horizon: int) -> int:
     the prefix after which the sequence looks uniformly recurrent."""
     worst = 0
     for n in range(1, max_len + 1):
-        for first, last, _gap, _pos in _factor_groups(x, n, horizon):
-            if last < horizon // 2:
-                worst = max(worst, last + n)
+        last = _factor_groups(x, n, horizon)[1]
+        dying = last[last < horizon // 2]
+        if dying.size:
+            worst = max(worst, int(dying.max()) + n)
     return worst

@@ -67,11 +67,14 @@ class SequenceSpec:
             raise SpecError(f"family {self.family!r} requires parameter {key!r}") from None
 
     def require_int(self, key) -> int:
-        value = self.require(key)
-        try:
-            return int(value)
-        except ValueError:
-            raise SpecError(f"parameter {key}={value!r} is not an integer") from None
+        return _as_int(f"parameter {key}", self.require(key))
+
+
+def _as_int(name: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise SpecError(f"{name}={value!r} is not an integer") from None
 
 
 def _parse_real(text: str):
@@ -205,7 +208,7 @@ def build_sequence(spec: SequenceSpec, seed=None) -> Sequence:
         raise SpecError(f"family {fam!r} does not take parameter {key!r}")
     cap = os.environ.get("APSEQ_HORIZON_CAP")
     if cap:
-        out.horizon_cap = int(cap)
+        out.horizon_cap = _as_int("APSEQ_HORIZON_CAP", cap)
     return out
 
 

@@ -782,8 +782,8 @@ def scheme_generate(scheme, mode: str = "AP", policy="lex", seed=None,
     of the next, and extends it lazily; the policy resolves the choice
     among candidate extensions (default: lexicographically least; also a
     seeded random policy or a caller callback level, candidates -> word).
-    A dead end within the lookahead raises :class:`GenerationStuck` naming
-    the level.
+    A dead end within the lookahead, or a level whose chosen word adds no
+    symbols, raises :class:`GenerationStuck` naming the level.
 
     AP mode emits the chain limit.  GAP mode (pair schemes only) prepends
     a junk word: the result satisfies the offset window constraints with
@@ -837,6 +837,8 @@ def scheme_generate(scheme, mode: str = "AP", policy="lex", seed=None,
         for level in itertools.count():
             done = len(word) if word is not None else 0
             word = choose(level, word)
+            if len(word) == done:
+                raise GenerationStuck(f"level {level} adds no symbols to the chain", level=level)
             yield from _chunked(word.codes, done)
 
     bound = None

@@ -101,14 +101,17 @@ class Verdict:
 def run(automaton, x: Sequence, steps: int) -> list:
     """The first ``steps`` states of the run: state 0 is the initial
     state, state i+1 follows by reading x(i)."""
-    delta = automaton.delta() if isinstance(automaton, BuchiAutomaton) else automaton.delta
+    delta = _delta(automaton)
     syms = x.alphabet.symbols
     xs = x.codes(max(steps - 1, 0))
     states = [automaton.initial]
     q = automaton.initial
-    for i in range(steps - 1):
-        q = delta[(q, syms[xs[i]])]
-        states.append(q)
+    try:
+        for i in range(steps - 1):
+            q = delta[(q, syms[xs[i]])]
+            states.append(q)
+    except KeyError as e:
+        raise _no_transition(e) from None
     return states
 
 
@@ -122,6 +125,14 @@ def limit_set_oracle(automaton, x: Sequence, horizon: int) -> frozenset:
     return frozenset(states[horizon // 2:])
 
 
+def _delta(automaton) -> dict:
+    return automaton.delta() if isinstance(automaton, BuchiAutomaton) else automaton.delta
+
+
+def _no_transition(e: KeyError) -> SpecError:
+    return SpecError(f"automaton has no transition at {e.args[0]}")
+
+
 # -- certified decision -----------------------------------------------------------
 
 
@@ -130,7 +141,7 @@ def _certified_limit_set(automaton, x: Sequence):
         raise NoCertifiedBound(
             f"{x.provenance} carries no certified regulator bound; acceptance is "
             "decided only for sequences with one (the decidability boundary)")
-    delta = automaton.delta() if isinstance(automaton, BuchiAutomaton) else automaton.delta
+    delta = _delta(automaton)
     m = len(automaton.states)
     g = bound_formulas(x.certified_bound, m)["image"]
     w = g(1)
@@ -149,7 +160,7 @@ def _certified_limit_set(automaton, x: Sequence):
                 seen.add(q)
             q = delta[(q, syms[xs[i]])]
     except KeyError as e:
-        raise SpecError(f"automaton has no transition at {e.args[0]}") from None
+        raise _no_transition(e) from None
     return frozenset(seen), Segment(w, 2 * w - 1), g.provenance
 
 

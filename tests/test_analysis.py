@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from apseq import analysis as A
@@ -68,6 +70,12 @@ def test_certified_regulator_examples(tm, p01):
         A.certified_regulator(G.fibonacci(), 1)  # no bound shipped
 
 
+def test_certified_regulator_rejects_a_lying_bound(p01):
+    lying = p01.with_bound(G.Bound(lambda n: n, "too tight"))
+    with pytest.raises(SpecError, match="certified bound violated"):
+        A.certified_regulator(lying, 1)
+
+
 def test_certified_regulator_equals_brute_force(tm, p01, scheme_seq):
     for x, ns in ((p01, range(1, 7)), (tm, (1, 2, 3)), (scheme_seq, (1, 2))):
         codes = x.codes(3000)[:3000]
@@ -90,6 +98,71 @@ def test_check_certified_bound(tm, p01):
     assert A.check_certified_bound(p01, 2, 1000)
     lying = p01.with_bound(G.Bound(lambda n: n, "too tight"))
     assert not A.check_certified_bound(lying, 2, 1000)
+
+
+# widest window whose base-k code fits in 62 bits; wider windows take the
+# prefix-doubling path
+CODE_WIDTH = {2: 62, 3: 39, 4: 31, 5: 26}
+
+
+@st.composite
+def _words_and_lengths(draw):
+    """A word over k letters (a repeated block with a few letters changed,
+    so that long factors recur) and a factor length n up to past twice the
+    base-k code width, so that doubling takes more than one step; the word
+    is at least 4 n long."""
+    k = draw(st.sampled_from(sorted(CODE_WIDTH)))
+    n = draw(st.integers(1, 2 * CODE_WIDTH[k] + 8))
+    block = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=12))
+    size = 4 * n + draw(st.integers(0, 40))
+    codes = (block * size)[:size]
+    for i, c in draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, k - 1)),
+                              max_size=4)):
+        codes[i] = c
+    return k, codes, n
+
+
+def _brute_regulator(codes, n):
+    """Regulator of the whole list by the definition: a factor whose last
+    start lies before the half is cut off past that start; every other one
+    must occur in each window, i.e. the longest stretch holding none of its
+    occurrences, plus one.  Also returns the cut-off factors, sorted."""
+    h = len(codes)
+    best, finite = n, []
+    for u in sorted({tuple(codes[i:i + n]) for i in range(h - n + 1)}):
+        pos = oracles.occurrences(codes, list(u))
+        if pos[-1] < h // 2:
+            best = max(best, pos[-1] + 1)
+            finite.append(u)
+        else:
+            best = max(best, max(q - p for p, q in zip([-1] + pos, pos + [h - n + 1])) + n - 1)
+    return best, finite
+
+
+@settings(max_examples=80, deadline=None)
+@given(_words_and_lengths())
+def test_factor_statistics_match_brute_force_past_the_code_width(case):
+    k, codes, n = case
+    x = G.periodic(Word(Alphabet.of(*range(k)), tuple(codes)))
+    h = len(codes)
+    assert A.subword_complexity(x, n, h) == oracles.factor_count(codes, n)
+    rep = A.empirical_regulator(x, n, h)
+    assert (rep.value, [w.codes for w in rep.finitely_occurring]) == _brute_regulator(codes, n)
+
+
+def test_large_n_path_runs_only_past_the_code_width(monkeypatch, kolak, x5):
+    # the benchmark's analysis.large_n_s times the calls reaching this name;
+    # kolakoski n=64 and the k=5 witness n=30 are its large-n jobs
+    calls = []
+    slow = A._factor_groups_slow
+    monkeypatch.setattr(A, "_factor_groups_slow", lambda *a: calls.append(a) or slow(*a))
+    for n in range(1, 63):
+        A.subword_complexity(kolak, n, 400)
+    assert calls == []
+    A.subword_complexity(kolak, 64, 400)
+    assert len(calls) == 1
+    A.subword_complexity(x5, 30, 400)
+    assert len(calls) == 2
 
 
 def test_prefix_regulator(tm, fib, p01):

@@ -2,6 +2,7 @@ import contextlib
 import importlib.util
 import io
 import os
+import signal
 from pathlib import Path
 
 import pytest
@@ -315,14 +316,37 @@ MALFORMED = {
     "alpha-two-slashes": ("", GEN + "mechanical alpha=1/2/3 rho=0", 2),
     "k-not-a-number": ("", GEN + "aperiodicity_witness k=x", 2),
     "n0-not-a-number": ("", GEN + "progression_rewrite base_period=01 n0=x ratio=2", 2),
+    "horizon-cap-not-a-number": ("", "APSEQ_HORIZON_CAP=x " + GEN + "thue_morse", 2),
+    # a scheme whose level words stop growing must stop, not loop forever
+    "scheme-single-letter-expansions": (
+        "kind: ap\nbase: 0 = 0\nbase: 1 = 1\nexpand: 0 = 0\nexpand: 1 = 1\n",
+        GEN + "scheme file={f}", 2),
+    "scheme-empty-expansion": (
+        "kind: ap\nbase: 0 = 0\nbase: 1 = 1\nexpand: 0 = 01\nexpand: 1 =\n",
+        GEN + "scheme file={f}", 2),
 }
 
 
+def _hang(signum, frame):
+    raise TimeoutError("the command did not finish within 20 s")
+
+
 @pytest.mark.parametrize("text, command, code", MALFORMED.values(), ids=list(MALFORMED))
-def test_malformed_input_exits_with_error(tmp_path, text, command, code):
+def test_malformed_input_exits_with_error(tmp_path, monkeypatch, text, command, code):
     path = tmp_path / "input"
     path.write_text(text)
-    got, out, err = run(command.format(f=path).split(" ", 4))
+    head, rest = command.split(" ", 1)
+    if "=" in head:  # a leading NAME=value sets the environment, as in a shell
+        monkeypatch.setenv(*head.split("=", 1))
+        command = rest
+    # no pytest-timeout here: an alarm turns a hang into a failure
+    handler = signal.signal(signal.SIGALRM, _hang)
+    signal.alarm(20)
+    try:
+        got, out, err = run(command.format(f=path).split(" ", 4))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
     assert (got, out) == (code, "")
     assert err.startswith("error:")
 

@@ -36,6 +36,13 @@ def test_limit_set_oracle(tm):
     assert O.limit_set_oracle(tracker, ep, 10**5) == frozenset({"q0"})
 
 
+def test_run_without_a_transition_is_a_spec_error():
+    tracker, ab = O.both_letters_tracker(), G.periodic("ab")
+    for probe in (lambda: O.run(tracker, ab, 10), lambda: O.limit_set_oracle(tracker, ab, 10)):
+        with pytest.raises(SpecError, match=r"automaton has no transition at \('q0', 'a'\)"):
+            probe()
+
+
 def test_decide_muller(tm, p01):
     tracker = O.both_letters_tracker()
     v = O.decide_muller(tracker, tm)
