@@ -166,6 +166,13 @@ def _factor_word(x: Sequence, start: int, n: int) -> Word:
     return x.segment(Segment(start, start + n - 1))
 
 
+def _factor_words(x: Sequence, starts: np.ndarray, n: int, horizon: int) -> list:
+    """The length-n words at the given starts of the horizon prefix, sliced
+    from its code list without re-checking the codes."""
+    codes = x.codes(horizon)
+    return [Word._of(x.alphabet, tuple(codes[i:i + n])) for i in starts]
+
+
 def subword_complexity(x: Sequence, n: int, horizon: int) -> int:
     """Number of distinct length-n factors of the horizon prefix.
 
@@ -187,8 +194,8 @@ def empirical_regulator(x: Sequence, n: int, horizon: int) -> RegulatorReport:
     finite = last < horizon // 2
     best = max(_coverage(first, last, gap, n, horizon)[~finite].max(initial=n),
                last[finite].max(initial=-1) + 1)
-    finite_words = [_factor_word(x, int(i), n) for i in first[finite]]
-    return RegulatorReport(n, int(best), "empirical-lower", horizon, finite_words)
+    return RegulatorReport(n, int(best), "empirical-lower", horizon,
+                           _factor_words(x, first[finite], n, horizon))
 
 
 def certified_regulator(x: Sequence, n: int) -> RegulatorReport:
@@ -221,9 +228,8 @@ def certified_regulator(x: Sequence, n: int) -> RegulatorReport:
     l2 = int(_coverage(first, last, gap, n, horizon)[recurring].max(initial=n))
     if l2 > fn:
         raise SpecError(f"certified bound violated: factor missing from a length-{fn} factor")
-    finite_words = [_factor_word(x, int(i), n) for i in first[finite]]
     return RegulatorReport(n, max(l1, l2), "certified-exact",
-                           finitely_occurring=finite_words)
+                           finitely_occurring=_factor_words(x, first[finite], n, horizon))
 
 
 def certified_bound_report(x: Sequence, n: int) -> RegulatorReport:

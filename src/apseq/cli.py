@@ -144,9 +144,11 @@ def parse_dfao_file(path: str) -> G.DFAO:
 
 def build_sequence(spec: SequenceSpec, seed=None) -> Sequence:
     """Instantiate the generator named by the spec.  Unknown families and
-    unknown or missing parameters are rejected naming the offending key."""
+    unknown or missing parameters are rejected naming the offending key.
+    ``APSEQ_HORIZON_CAP``, when set, caps every sequence built here."""
     s = SequenceSpec(spec.family, spec.params)  # work on a copy
     fam = s.family
+    inner = []  # sequences built here besides the result, for the horizon cap
     if fam == "periodic":
         out = G.periodic(s.require("period"))
     elif fam == "eventually_periodic":
@@ -197,6 +199,7 @@ def build_sequence(spec: SequenceSpec, seed=None) -> Sequence:
         pre = s.pop("base_pre", "")
         period = s.require("base_period")
         base = G.eventually_periodic(pre, period) if pre else G.periodic(period)
+        inner.append(base)
         out = G.progression_rewrite(base, G.geometric_levels(s.require_int("n0"),
                                                              s.require_int("ratio")))
     elif fam == "aperiodicity_witness":
@@ -208,7 +211,9 @@ def build_sequence(spec: SequenceSpec, seed=None) -> Sequence:
         raise SpecError(f"family {fam!r} does not take parameter {key!r}")
     cap = os.environ.get("APSEQ_HORIZON_CAP")
     if cap:
-        out.horizon_cap = _as_int("APSEQ_HORIZON_CAP", cap)
+        cap = _as_int("APSEQ_HORIZON_CAP", cap)
+        for seq in (*inner, out):
+            seq.horizon_cap = cap
     return out
 
 

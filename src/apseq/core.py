@@ -26,7 +26,7 @@ from .errors import ApseqError, HorizonExhausted, SpecError
 
 DEFAULT_HORIZON_CAP = 10**7
 
-_CHUNK = 4096  # memo cache grows in chunks of this many symbols
+_CHUNK = 4096  # memo cache grows in chunks of this many symbols (a power of two)
 
 
 @dataclass(frozen=True)
@@ -99,12 +99,20 @@ class Word:
         if self.codes and not (0 <= min(self.codes) and max(self.codes) < len(self.alphabet)):
             raise SpecError("letter code out of range for alphabet")
 
+    @classmethod
+    def _of(cls, alphabet: Alphabet, codes: tuple) -> "Word":
+        """A word from codes known to lie in the alphabet: no range check."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "alphabet", alphabet)
+        object.__setattr__(w, "codes", codes)
+        return w
+
     def __len__(self):
         return len(self.codes)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Word(self.alphabet, self.codes[i])
+            return Word._of(self.alphabet, self.codes[i])
         return self.alphabet.symbols[self.codes[i]]
 
     def __iter__(self):
@@ -114,10 +122,10 @@ class Word:
     def __add__(self, other: "Word") -> "Word":
         if other.alphabet != self.alphabet:
             raise SpecError("cannot concatenate words over different alphabets")
-        return Word(self.alphabet, self.codes + other.codes)
+        return Word._of(self.alphabet, self.codes + other.codes)
 
     def __mul__(self, k: int) -> "Word":
-        return Word(self.alphabet, self.codes * k)
+        return Word._of(self.alphabet, self.codes * k)
 
     def count(self, symbol) -> int:
         return self.codes.count(self.alphabet.index(symbol))
@@ -134,13 +142,14 @@ class Word:
         """Bitwise complement; defined for binary alphabets only."""
         if len(self.alphabet) != 2:
             raise SpecError("complement requires a binary alphabet")
-        return Word(self.alphabet, tuple(1 - c for c in self.codes))
+        return Word._of(self.alphabet, tuple(1 - c for c in self.codes))
 
     def factors(self, n: int) -> set:
         """All length-n factors; empty set when n exceeds the word length."""
         if n < 1:
             raise SpecError("factor length must be >= 1")
-        return {Word(self.alphabet, self.codes[i:i + n]) for i in range(len(self.codes) - n + 1)}
+        return {Word._of(self.alphabet, self.codes[i:i + n])
+                for i in range(len(self.codes) - n + 1)}
 
 
 @dataclass(frozen=True)
@@ -228,8 +237,9 @@ class Sequence:
         return Sequence(alphabet, extend, **kw)
 
     @staticmethod
-    def from_chunks(alphabet, chunks: Iterator[list], **kw) -> "Sequence":
-        """Sequence fed by a deterministic iterator of symbol-code lists.
+    def from_chunks(alphabet, chunks: Iterator, **kw) -> "Sequence":
+        """Sequence fed by a deterministic iterator of symbol-code lists or
+        integer arrays (stored as Python ints, one ``tolist`` per array).
 
         Chunks may have any length, empty included; the part of a chunk past
         the requested target waits behind an offset for the next read.  Reads
@@ -248,6 +258,8 @@ class Sequence:
                 while len(cache) < target:
                     if off == len(chunk):
                         chunk, off = next(it), 0
+                        if isinstance(chunk, np.ndarray):
+                            chunk = chunk.tolist()
                     end = off + target - len(cache)
                     cache.extend(chunk[off:end])
                     off = min(end, len(chunk))

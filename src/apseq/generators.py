@@ -19,6 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import floor, ceil
 
+import numpy as np
+
 from .core import _CHUNK, Alphabet, Bound, Provenance, Sequence, Word
 from .errors import GenerationStuck, HorizonExhausted, PrecisionExhausted, SpecError
 
@@ -127,14 +129,21 @@ def thue_morse(definition: str = "recurrence") -> Sequence:
     block boundary.
     """
     if definition == "recurrence":
-        def extend(cache, target):
-            if not cache:
-                cache.append(0)
-            for i in range(len(cache), target):
-                cache.append(cache[i >> 1] ^ (i & 1))
+        def chunks():
+            # x(2i) = x(i) and x(2i + 1) = 1 - x(i), applied log2(_CHUNK) times,
+            # give x(_CHUNK * j + r) = x(j) xor x(r): each chunk is the first
+            # one or its complement, as x(j) says
+            first = [0]
+            for i in range(1, _CHUNK):
+                first.append(first[i >> 1] ^ (i & 1))
+            both, signs = (first, [1 - c for c in first]), [0]
+            for j in itertools.count():
+                if j:
+                    signs.append(signs[j >> 1] ^ (j & 1))
+                yield both[signs[j]]
 
-        seq = Sequence(BINARY, extend,
-                       provenance=Provenance("thue_morse", {"definition": definition}))
+        seq = Sequence.from_chunks(BINARY, chunks(),
+                                   provenance=Provenance("thue_morse", {"definition": definition}))
     elif definition == "digit_sum":
         seq = Sequence.from_index_fn(
             BINARY, lambda i: bin(i).count("1") & 1,
@@ -531,7 +540,7 @@ def block_product_seq(blocks, *, assert_both_letters: bool = False,
         return n
 
     def chunks():
-        w = list(checked_block(0).codes)
+        w = np.array(checked_block(0).codes, dtype=np.uint8)
         yield from _chunked(w)
         stagnant = 0
         for level in itertools.count(1):
@@ -542,11 +551,8 @@ def block_product_seq(blocks, *, assert_both_letters: bool = False,
                     raise HorizonExhausted("block stream stalled on length-1 blocks")
                 continue
             stagnant = 0
-            new = []
-            comp = [1 - c for c in w]
-            for bit in blk.codes:
-                new.extend(w if bit == 0 else comp)
-            done, w = len(w), new
+            bits = np.array(blk.codes, dtype=np.uint8)[:, None]
+            done, w = w.size, np.where(bits == 0, w, 1 - w).ravel()
             yield from _chunked(w, done)
 
     bound = None
@@ -630,13 +636,8 @@ def substitution_scheme(kind: str, alphabet: Alphabet, base: dict, expand: dict,
         if n == 0:
             return {a: _as_word(base[a], alphabet) for a in letters}
         prev = words(n - 1)
-        out = {}
-        for a in letters:
-            w = Word(alphabet, ())
-            for b in expand[a]:
-                w = w + prev[b]
-            out[a] = w
-        return out
+        return {a: Word._of(alphabet, tuple(itertools.chain.from_iterable(
+            prev[b].codes for b in expand[a]))) for a in letters}
 
     base_lens = {len(_as_word(base[a], alphabet)) for a in letters}
     expand_lens = {len(expand[a]) for a in letters}
@@ -648,9 +649,20 @@ def substitution_scheme(kind: str, alphabet: Alphabet, base: dict, expand: dict,
     def level(n):
         ws = words(n)
         data = len(ws[letters[0]]), tuple(ws[a] for a in letters)
-        return data + (tuple(ws[a] + ws[b] for a, b in pairs),) if kind == "gap" else data
+        return data + (_PairWords(ws, pairs),) if kind == "gap" else data
 
     return Scheme(alphabet, level, name, length_fn)
+
+
+class _PairWords:
+    """The C_n words w_n(a) w_n(b) of a pair scheme, built only when
+    iterated: generation reads B_n alone."""
+
+    def __init__(self, words: dict, pairs: list):
+        self._words, self._pairs = words, pairs
+
+    def __iter__(self):
+        return (self._words[a] + self._words[b] for a, b in self._pairs)
 
 
 def doubling_scheme() -> Scheme:
@@ -702,7 +714,7 @@ class SchemeViolation:
 def _aligned_blocks(w: Word, size: int):
     if len(w) % size:
         return None
-    return [Word(w.alphabet, w.codes[i:i + size]) for i in range(0, len(w), size)]
+    return [w[i:i + size] for i in range(0, len(w), size)]
 
 
 def scheme_validate(scheme, depth: int) -> list:
@@ -1039,12 +1051,12 @@ def progression_rewrite(base: Sequence, levels) -> Sequence:
     result recurs along an arithmetic progression, so the result is
     precisely almost periodic.
 
-    A symbol is resolved lazily through the first level that pins its
-    index.  A certified bound (2 * n_{k+1} for n <= n_k) is attached only
-    when the base is (eventually) periodic, phase-aligned with the chain:
-    period length dividing n_0 and preperiod at most n_0.  For general
-    bases the junction factors between copies and base content recur on a
-    slower schedule and no bound is asserted.
+    Symbols are resolved a chunk of indices at a time, each through the
+    first level that pins its index.  A certified bound (2 * n_{k+1} for
+    n <= n_k) is attached only when the base is (eventually) periodic,
+    phase-aligned with the chain: period length dividing n_0 and preperiod
+    at most n_0.  For general bases the junction factors between copies
+    and base content recur on a slower schedule and no bound is asserted.
     """
     level = levels if callable(levels) else (lambda k, _ls=list(levels): _ls[k])
 
@@ -1058,18 +1070,33 @@ def progression_rewrite(base: Sequence, levels) -> Sequence:
                                 f"got n_{k-1}={prev}, n_{k}={v}")
         return v
 
-    def resolve(i: int) -> int:
-        while True:
-            k = 0
-            pinned = None
-            while lv(k + 1) <= i:
-                if i % lv(k + 1) < lv(k):
-                    pinned = i % lv(k + 1)
-                    break
+    def resolve(idx: np.ndarray) -> np.ndarray:
+        """The base index that each index of idx reads.  An index pinned at
+        level k (the first k with i mod n_{k+1} < n_k) moves to i mod n_{k+1}
+        and is resolved again; one below n_{k+1} is never pinned past k."""
+        todo = np.arange(idx.size)
+        while todo.size:
+            moved, k = [], 0
+            while todo.size:
+                i, n = idx[todo], lv(k + 1)
+                r = i % n
+                hit = (r < lv(k)) & (i >= n)
+                idx[todo[hit]] = r[hit]
+                moved.append(todo[hit])
+                todo = todo[(i >= n) & ~hit]
                 k += 1
-            if pinned is None:
-                return base.code_at(i)
-            i = pinned
+            todo = np.concatenate(moved)
+        return idx
+
+    def chunks():
+        for start in itertools.count(0, _CHUNK):
+            src = resolve(np.arange(start, start + _CHUNK))
+            codes = base.codes(min(int(src.max()) + 1, base.horizon_cap))
+            beyond = np.flatnonzero(src >= len(codes))
+            cut = int(beyond[0]) if beyond.size else src.size
+            yield [codes[j] for j in src[:cut].tolist()]
+            for j in src[cut:].tolist():  # past the base's cap: its own read raises
+                yield [base.code_at(j)]
 
     bound = None
     fam = base.provenance.family
@@ -1087,8 +1114,8 @@ def progression_rewrite(base: Sequence, levels) -> Sequence:
 
     prov = Provenance("progression_rewrite",
                       {"base": str(base.provenance), "n0": lv(0), "n1": lv(1)})
-    return Sequence.from_index_fn(base.alphabet, resolve, bound=bound, provenance=prov,
-                                  horizon_cap=base.horizon_cap)
+    return Sequence.from_chunks(base.alphabet, chunks(), bound=bound, provenance=prov,
+                                horizon_cap=base.horizon_cap)
 
 
 # -- triangular-sum witness ---------------------------------------------------

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import Alphabet, Bound, Segment, Sequence, read_records
 from .errors import CostRefusal, MachineParseError, NoCertifiedBound, SpecError, UnsupportedFeature
 from .transforms import bound_formulas
@@ -111,7 +113,7 @@ def run(automaton, x: Sequence, steps: int) -> list:
             q = delta[(q, syms[xs[i]])]
             states.append(q)
     except KeyError as e:
-        raise _no_transition(e) from None
+        raise _no_transition(e.args[0]) from None
     return states
 
 
@@ -129,11 +131,14 @@ def _delta(automaton) -> dict:
     return automaton.delta() if isinstance(automaton, BuchiAutomaton) else automaton.delta
 
 
-def _no_transition(e: KeyError) -> SpecError:
-    return SpecError(f"automaton has no transition at {e.args[0]}")
+def _no_transition(key: tuple) -> SpecError:
+    return SpecError(f"automaton has no transition at {key}")
 
 
 # -- certified decision -----------------------------------------------------------
+
+_SCAN_CHUNK = 1 << 16   # symbols turned into one array at a time (a multiple of the block)
+_SCAN_BLOCK = 128       # symbols per block whose state map is composed at once
 
 
 def _certified_limit_set(automaton, x: Sequence):
@@ -150,18 +155,65 @@ def _certified_limit_set(automaton, x: Sequence):
             f"certified window [{w}, {2*w - 1}] exceeds the horizon cap "
             f"{x.horizon_cap}; raise the cap to decide this pair",
             needed=2 * w, cap=x.horizon_cap)
-    syms = x.alphabet.symbols
-    xs = x.codes(2 * w)
-    q = automaton.initial
-    seen = set()
-    try:
-        for i in range(2 * w):
-            if i >= w:
-                seen.add(q)
-            q = delta[(q, syms[xs[i]])]
-    except KeyError as e:
-        raise _no_transition(e) from None
-    return frozenset(seen), Segment(w, 2 * w - 1), g.provenance
+    limit = _window_states(automaton.initial, delta, x.alphabet, x.codes(2 * w), w)
+    return limit, Segment(w, 2 * w - 1), g.provenance
+
+
+def _window_states(initial, delta: dict, alphabet: Alphabet, xs: list, w: int) -> frozenset:
+    """The states q_i, w <= i < 2w, of the run q_0 = initial,
+    q_{i+1} = delta(q_i, xs[i]).
+
+    delta becomes a table indexed by state * k + symbol code whose entries
+    are state * k again, with a sink state standing for a missing
+    transition.  Each chunk of symbols is cut into blocks; one gather per
+    symbol position advances every block from every start state at once,
+    the blocks' maps are chained from the chunk's entry state, and a
+    replay from each block's entry state lists the states it visits (only
+    in chunks that reach the window, or that hit a missing transition).
+    """
+    syms, k = alphabet.symbols, len(alphabet)
+    states = list(dict.fromkeys([initial, *(q for q, _a in delta), *delta.values()]))
+    index = {q: i * k for i, q in enumerate(states)}
+    sink = len(states) * k
+    table = np.full(sink + k, sink, dtype=np.intp)
+    for (q, a), q2 in delta.items():
+        if a in alphabet:
+            table[index[q] + alphabet.index(a)] = index[q2]
+    starts = np.arange(0, sink + k, k)
+    seen = np.zeros(sink + k, dtype=bool)
+    q, B = index[initial], _SCAN_BLOCK
+    for lo in range(0, 2 * w, _SCAN_CHUNK):
+        part = xs[lo:min(lo + _SCAN_CHUNK, 2 * w)]
+        n = len(part)
+        nb = -(-n // B)
+        cols = np.zeros(nb * B, dtype=np.intp)
+        cols[:n] = np.frombuffer(bytes(part), np.uint8) if k <= 256 else part
+        cols = np.ascontiguousarray(cols.reshape(nb, B).T)   # cols[j]: symbol j of each block
+        maps = np.repeat(starts[:, None], nb, axis=1)      # maps[s, b]: block b run from s
+        tmp = np.empty_like(maps)
+        for col in cols:
+            table.take(np.add(maps, col, out=tmp), out=maps)
+        entry = []
+        for row in maps.T.tolist():
+            entry.append(q)
+            q = row[q // k]
+        if lo + n <= w and q != sink:  # before the window only the exit state counts
+            continue
+        visit = np.empty((B, nb), dtype=np.intp)            # visit[j, b]: state before cols[j, b]
+        st = np.array(entry, dtype=np.intp)
+        for j, col in enumerate(cols):
+            visit[j] = st
+            table.take(np.add(st, col, out=st), out=st)
+        before = visit.T.ravel()[:n]
+        if (st == sink).any():
+            after = table[before + cols.T.ravel()[:n]]
+            i = np.flatnonzero(after == sink)
+            if i.size:
+                i = i[0]
+                raise _no_transition((states[before[i] // k], syms[part[i]]))
+        seen[before[max(w - lo, 0):]] = True
+        q = int(table[before[-1] + part[-1]])
+    return frozenset(states[i // k] for i in np.flatnonzero(seen))
 
 
 def decide_muller(automaton: MullerAutomaton, x: Sequence) -> Verdict:

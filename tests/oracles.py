@@ -121,3 +121,53 @@ def toeplitz_fill(pattern_slots, length, rounds=64):
             break
         cur = nxt
     return cur[:length]
+
+
+def window_states(delta, initial, symbols, w):
+    """States q_i, w <= i < 2w, of the run q_0 = initial,
+    q_{i+1} = delta[(q_i, symbols[i])], one symbol at a time; a missing
+    transition raises KeyError naming the first (state, symbol) lacking
+    one."""
+    q, seen = initial, set()
+    for i in range(2 * w):
+        if i >= w:
+            seen.add(q)
+        q = delta[(q, symbols[i])]
+    return frozenset(seen)
+
+
+def eventual_limit_set(delta, initial, pre, period):
+    """States visited infinitely often on pre followed by period forever:
+    run to the period boundaries until the boundary state repeats, then
+    collect the states of the cycle."""
+    q = initial
+    for a in pre:
+        q = delta[(q, a)]
+    first = {}
+    while q not in first:
+        first[q] = len(first)
+        for a in period:
+            q = delta[(q, a)]
+    cycle = [s for s, i in first.items() if i >= first[q]]
+    out = set()
+    for s in cycle:
+        for a in period:
+            out.add(s)
+            s = delta[(s, a)]
+    return frozenset(out)
+
+
+def progression_rewrite(base_codes, levels, length):
+    """The first ``length`` symbols of the progression rewrite, by the
+    definition: start from the base, then for k = 0, 1, ... copy the
+    current length-n_k prefix onto every segment starting at a positive
+    multiple of n_{k+1}."""
+    out = list(base_codes[:length])
+    k = 0
+    while levels(k + 1) < length:
+        nk, step = levels(k), levels(k + 1)
+        for start in range(step, length, step):
+            for j in range(min(nk, length - start)):
+                out[start + j] = out[j]
+        k += 1
+    return out

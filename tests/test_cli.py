@@ -167,6 +167,14 @@ def test_exit_codes(tmp_path, tracker_file):
         del os.environ["APSEQ_HORIZON_CAP"]
 
 
+def test_horizon_cap_reaches_the_progression_rewrite_base(monkeypatch):
+    # 14348906 is the first index past 10**7 that no level pins, so its
+    # symbol is read from the base at that same index: past the default cap
+    monkeypatch.setenv("APSEQ_HORIZON_CAP", str(2 * 10**7))
+    x = build_sequence(SequenceSpec.parse("progression_rewrite base_period=01 n0=2 ratio=3"))
+    assert x[14348906] == "0"
+
+
 # -- analyze -----------------------------------------------------------------------
 
 

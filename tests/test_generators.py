@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -52,6 +53,17 @@ def test_thue_morse_digit_sum_value():
 def test_thue_morse_definitions_agree(tm):
     for d in ("digit_sum", "morphic"):
         assert agreement_length(tm, G.thue_morse(d), 10**5) is None
+
+
+def test_thue_morse_definitions_agree_with_the_bit_count_in_uneven_reads():
+    n = 2**21 + 17
+    want = (np.bitwise_count(np.arange(n)) & 1).tolist()
+    steps = [1, 4095, 4097, 1, 12345, 2**16 + 3, 2**20 - 5, 2**20 + 1]
+    for d in ("recurrence", "digit_sum", "morphic"):
+        x, read = G.thue_morse(d), 0
+        for step in steps + [n]:
+            read = min(read + step, n)
+            assert x.codes(read)[:read] == want[:read], (d, read)
 
 
 def test_thue_morse_bound_margin(tm):
@@ -201,6 +213,16 @@ def test_keane_printed_prefix():
     assert G.keane().prefix(25).text == "0010011100010011101101100"
 
 
+def test_block_product_seq_equals_iterated_products():
+    for blocks in (["001"], ["001", "0111"], ["01", "0110", "011"]):
+        x = G.block_product_seq(blocks)
+        words = [G.word_from_text(b, B) for b in blocks]
+        w = words[0]
+        for level in range(1, 9):
+            w = G.block_product_word(w, words[min(level, len(words) - 1)])
+            assert x.prefix(len(w)) == w, (blocks, level)
+
+
 def test_block_product_seq_validation():
     with pytest.raises(SpecError):
         G.block_product_seq(["01", "10"]).prefix(8)  # later block starts with 1
@@ -303,6 +325,23 @@ def test_scheme_generate_stuck():
         return 2 ** n, (Word(B, (1,) * 2 ** n),)
     with pytest.raises(GenerationStuck):
         G.scheme_generate(G.Scheme(B, level)).prefix(4)
+
+
+def test_pair_scheme_generation_builds_no_pair_word(monkeypatch):
+    built, add = [], Word.__add__
+
+    def counting_add(u, v):  # pair words are the concatenations of two level words
+        built.append(len(u) + len(v))
+        return add(u, v)
+
+    monkeypatch.setattr(Word, "__add__", counting_add)
+    sch = G.pair_alternation_scheme()
+    x = G.scheme_generate(sch)
+    assert x.codes(1_500_000)[:12] == [0, 1, 1, 0] * 3
+    assert built == []
+    # validation reads the pair words, and still finds no violation
+    assert G.scheme_validate(sch, 4) == []
+    assert built and {len(c) for c in sch.level(3)[2]} == {2 * sch.length(3)}
 
 
 def test_gap_generation_window_constraints(branching_seq, scheme_seq):
@@ -437,6 +476,17 @@ def test_progression_rewrite_untouched_positions_keep_base():
             k += 1
         if not pinned:
             assert x[i] == base[i]
+
+
+def test_progression_rewrite_equals_the_definition():
+    for pre, period, n0, ratio in (("", "01", 2, 3), ("0", "011", 8, 8), ("10", "1", 1, 2),
+                                   ("", "012", 3, 2), ("0101", "00111", 5, 3), ("", "0", 4, 4)):
+        base = G.eventually_periodic(pre, period) if pre else G.periodic(period)
+        levels = G.geometric_levels(n0, ratio)
+        x = G.progression_rewrite(base, levels)
+        n = 6000 + 7 * n0
+        assert x.codes(n)[:n] == oracles.progression_rewrite(base.codes(n), levels, n), \
+            (pre, period, n0, ratio)
 
 
 def test_progression_rewrite_bound_only_when_aligned():

@@ -1,8 +1,13 @@
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 from apseq import generators as G
 from apseq import omega as O
-from apseq.core import Alphabet
+from apseq.core import Alphabet, Bound, Segment
 from apseq.errors import (CostRefusal, MachineParseError, NoCertifiedBound,
                           SpecError, UnsupportedFeature)
 
@@ -41,6 +46,74 @@ def test_run_without_a_transition_is_a_spec_error():
     for probe in (lambda: O.run(tracker, ab, 10), lambda: O.limit_set_oracle(tracker, ab, 10)):
         with pytest.raises(SpecError, match=r"automaton has no transition at \('q0', 'a'\)"):
             probe()
+
+
+def test_decide_without_a_transition_names_the_first_missing_one():
+    tracker = O.both_letters_tracker()
+    with pytest.raises(SpecError, match=r"automaton has no transition at \('q0', 'a'\)"):
+        O.decide_muller(tracker, G.periodic("ab"))
+    # arcs on "2" from q0 only: the run first needs one from q1 at
+    # position 70001, past the first chunk of the scan
+    abc = Alphabet.of("0", "1", "2")
+    delta = {**tracker.delta, ("q0", "2"): "q0"}
+    aut = O.MullerAutomaton(B, tracker.states, "q0", delta, tracker.accepting)
+    x = G.eventually_periodic(abc.word("0" * 70000), abc.word("12"))
+    with pytest.raises(SpecError, match=r"automaton has no transition at \('q1', '2'\)"):
+        O.decide_muller(aut, x)
+
+
+@st.composite
+def _decisions(draw):
+    """A random automaton over 0/1 (with arcs on a third letter "2" where
+    the draw puts them) run on a periodic or eventually periodic word over
+    two or three letters that carries the bound n + c."""
+    letters = "012"[:draw(st.integers(2, 3))]
+    qs = tuple(f"s{i}" for i in range(draw(st.integers(1, 8))))
+    delta = {(q, a): draw(st.sampled_from(qs)) for q in qs for a in "01"}
+    if len(letters) == 3:
+        delta.update({(q, "2"): draw(st.sampled_from(qs)) for q in qs if draw(st.booleans())})
+    pre = draw(st.text(letters, max_size=5))
+    period = draw(st.text(letters, min_size=1, max_size=6))
+    c = draw(st.integers(0, 300))
+    subsets = st.frozensets(st.sampled_from(qs), min_size=1)
+    if draw(st.booleans()):
+        aut = O.MullerAutomaton(B, qs, qs[0], delta, draw(st.frozensets(subsets, max_size=3)))
+    else:
+        arcs = frozenset((q, a, q2) for (q, a), q2 in delta.items())
+        aut = O.BuchiAutomaton(B, qs, qs[0], arcs, draw(subsets))
+    return aut, delta, Alphabet(tuple(letters)), pre, period, c
+
+
+# scan geometries (chunk, block): the default, and two small ones under
+# which a window spans many chunks and its last block is cut short
+@pytest.mark.parametrize("chunk, block", [(O._SCAN_CHUNK, O._SCAN_BLOCK), (256, 16), (112, 7)])
+@settings(max_examples=60, deadline=None)
+@given(case=_decisions())
+def test_decision_equals_the_per_symbol_run(chunk, block, case):
+    aut, delta, abc, pre, period, c = case
+    x = G.eventually_periodic(abc.word(pre), abc.word(period)) if pre \
+        else G.periodic(abc.word(period))
+    x = x.with_bound(Bound(lambda n: n + c, "n + c"))
+    w = 2 * len(aut.states) * (c + 1) - 1           # the image window of n + c
+    symbols = [x.alphabet.symbols[i] for i in x.codes(2 * w)[:2 * w]]
+    decide = O.decide_muller if isinstance(aut, O.MullerAutomaton) else O.decide_buchi_det
+    try:
+        want = oracles.window_states(delta, aut.initial, symbols, w)
+    except KeyError as e:
+        with mock.patch.multiple(O, _SCAN_CHUNK=chunk, _SCAN_BLOCK=block), \
+                pytest.raises(SpecError) as err:
+            decide(aut, x)
+        assert str(err.value) == f"automaton has no transition at {e.args[0]}"
+        return
+    with mock.patch.multiple(O, _SCAN_CHUNK=chunk, _SCAN_BLOCK=block):
+        v = decide(aut, x)
+    assert v.limit_macrostate == want and v.window == Segment(w, 2 * w - 1)
+    if isinstance(aut, O.MullerAutomaton):
+        assert v.accept == (want in aut.accepting)
+    else:
+        assert v.accept == bool(want & aut.accepting)
+    if c >= len(pre) + len(period) - 1:  # the bound is sound: the exact limit set
+        assert want == oracles.eventual_limit_set(delta, aut.initial, pre, period)
 
 
 def test_decide_muller(tm, p01):
