@@ -15,6 +15,7 @@ blocking forever.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -209,8 +210,9 @@ class Sequence:
     ``extend`` receives the internal cache (a list of symbol codes) and a
     target length and must append codes until the cache reaches at least
     that length; it is called under the sequence lock.  Families build it
-    with :meth:`from_index_fn` (a stateless oracle index -> code) or
-    :meth:`from_chunks` (a generator that keeps its state in its locals).
+    with :meth:`from_index_fn` (a stateless vector oracle: int64 index
+    array -> code array) or :meth:`from_chunks` (a generator that keeps its
+    state in its locals).
     The same index always yields the same symbol.  A stream whose generator
     raised stays failed: reads past the cache raise the same class again.
     """
@@ -226,15 +228,27 @@ class Sequence:
         self._cache: list = []
         self._lock = threading.RLock()
         self._np_cache = np.empty(0, dtype=np.int64)
+        self._np_size = 0  # codes copied into _np_cache so far
 
     @staticmethod
     def from_index_fn(alphabet, fn, **kw) -> "Sequence":
-        """Sequence from a total random-access oracle index -> symbol code."""
+        """Sequence from a total vector oracle: ``fn`` maps an int64 array
+        of indices to the array of their symbol codes.
 
-        def extend(cache, target):
-            cache.extend(map(fn, range(len(cache), target)))
+        The oracle sees consecutive blocks of indices.  When it raises an
+        :class:`ApseqError` on a block, the block is read again one index at
+        a time, so the codes before the failing index are still served.
+        """
 
-        return Sequence(alphabet, extend, **kw)
+        def blocks():
+            for start in itertools.count(0, _CHUNK):
+                try:
+                    yield fn(np.arange(start, start + _CHUNK))
+                except ApseqError:
+                    for i in range(start, start + _CHUNK):
+                        yield fn(np.arange(i, i + 1))
+
+        return Sequence.from_chunks(alphabet, blocks(), **kw)
 
     @staticmethod
     def from_chunks(alphabet, chunks: Iterator, **kw) -> "Sequence":
@@ -311,11 +325,22 @@ class Sequence:
         return self._cache
 
     def prefix_array(self, n: int) -> np.ndarray:
-        """The first n symbol codes as an int64 array (cached, grow-only)."""
+        """The first n symbol codes as an int64 array (cached, grow-only:
+        each call copies only the codes the mirror lacks, and its capacity
+        doubles)."""
         self._fill(n)
         with self._lock:
-            if self._np_cache.size < n:
-                self._np_cache = np.array(self._cache, dtype=np.int64)
+            done, size = self._np_size, len(self._cache)
+            if done < n:
+                if self._np_cache.size < size:
+                    grown = np.empty(max(2 * self._np_cache.size, size), dtype=np.int64)
+                    grown[:done] = self._np_cache[:done]
+                    self._np_cache = grown
+                # in slices, so the list slice and its converted copy stay small
+                for a in range(done, size, _CHUNK * 16):
+                    b = min(a + _CHUNK * 16, size)
+                    self._np_cache[a:b] = self._cache[a:b]
+                self._np_size = size
             return self._np_cache[:n]
 
     # -- word views ---------------------------------------------------

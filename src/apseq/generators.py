@@ -22,7 +22,7 @@ from math import floor, ceil
 import numpy as np
 
 from .core import _CHUNK, Alphabet, Bound, Provenance, Sequence, Word
-from .errors import GenerationStuck, HorizonExhausted, PrecisionExhausted, SpecError
+from .errors import ApseqError, GenerationStuck, HorizonExhausted, PrecisionExhausted, SpecError
 
 BINARY = Alphabet.binary()
 
@@ -44,6 +44,11 @@ def _as_word(w, alphabet=None) -> Word:
     return w if isinstance(w, Word) else word_from_text(w, alphabet)
 
 
+def _code_array(codes, alphabet: Alphabet) -> np.ndarray:
+    """Codes as an array of the narrowest unsigned dtype for the alphabet."""
+    return np.array(codes, dtype=np.min_scalar_type(len(alphabet) - 1))
+
+
 def _chunked(codes, start: int = 0):
     """codes[start:] as consecutive slices of at most _CHUNK codes."""
     return (codes[i:i + _CHUNK] for i in range(start, len(codes), _CHUNK))
@@ -62,7 +67,7 @@ def periodic(period) -> Sequence:
     p = len(w)
     if p < 1:
         raise SpecError("period must be nonempty")
-    codes = w.codes
+    codes = _code_array(w.codes, w.alphabet)
     bound = Bound(lambda n: n + p - 1, f"periodic window, period {p}")
     prov = Provenance("periodic", {"period": w.text, "period_len": p})
     return Sequence.from_index_fn(w.alphabet, lambda i: codes[i % p], bound=bound, provenance=prov)
@@ -85,11 +90,11 @@ def eventually_periodic(pre, period) -> Sequence:
     p = len(w)
     if p < 1:
         raise SpecError("period must be nonempty")
-    k, ucodes, wcodes = len(u), u.codes, w.codes
+    k, codes = len(u), _code_array(u.codes + w.codes, u.alphabet)
     bound = Bound(lambda n: k + n + p - 1, f"eventually periodic window, pre {k}, period {p}")
     prov = Provenance("eventually_periodic",
                       {"pre": u.text, "period": w.text, "pre_len": k, "period_len": p})
-    fn = lambda i: ucodes[i] if i < k else wcodes[(i - k) % p]
+    fn = lambda i: codes[np.where(i < k, i, k + (i - k) % p)]
     return Sequence.from_index_fn(u.alphabet, fn, bound=bound, provenance=prov)
 
 
@@ -146,7 +151,7 @@ def thue_morse(definition: str = "recurrence") -> Sequence:
                                    provenance=Provenance("thue_morse", {"definition": definition}))
     elif definition == "digit_sum":
         seq = Sequence.from_index_fn(
-            BINARY, lambda i: bin(i).count("1") & 1,
+            BINARY, lambda i: np.bitwise_count(i) & 1,
             provenance=Provenance("thue_morse", {"definition": definition}))
     elif definition == "morphic":
         phi = Morphism.from_rules(BINARY, BINARY, {"0": "01", "1": "10"})
@@ -262,6 +267,24 @@ def _floor_affine(alpha: RealParam, rho: RealParam, n: int, upper: bool) -> int:
         f"after {_REFINE_BUDGET} refinements")
 
 
+def _affine_floors(alpha: Fraction, rho: Fraction, n: np.ndarray, upper: bool) -> np.ndarray:
+    """floor (or ceil when upper) of alpha*n + rho for every n of an int64
+    array, in exact integer arithmetic: int64 when the products fit, Python
+    ints otherwise."""
+    if upper:  # ceil(v) = -floor(-v)
+        return -_affine_floors(-alpha, -rho, n, False)
+    a, c = alpha.numerator, alpha.denominator
+    whole, r = divmod(rho.numerator, rho.denominator)  # rho = whole + r/d, 0 <= r/d < 1
+    d = rho.denominator
+    top = max(int(np.abs(n).max()), 1)
+    if top * abs(a) < 2**63 and 2 * c * d < 2**63:
+        # alpha*n = q + m/c with 0 <= m < c, and m/c + r/d < 2
+        q, m = np.divmod(n * a, c)
+        return q + whole + (m * d + r * c >= c * d)
+    v = n.astype(object) * (a * d) + rho.numerator * c
+    return (v // (c * d)).astype(np.int64)
+
+
 def mechanical(alpha, rho, variant: str = "lower") -> Sequence:
     """The mechanical sequence with slope alpha and intercept rho:
     difference of consecutive floors (lower) or ceilings (upper) of
@@ -278,15 +301,33 @@ def mechanical(alpha, rho, variant: str = "lower") -> Sequence:
         raise SpecError("intercept must lie in [0, 1)")
     upper = variant == "upper"
 
+    def floors(n: np.ndarray):
+        """The exact values at the block n, and None; or, when a position
+        cannot be resolved, the values before it and the error."""
+        if alpha.exact is not None and rho.exact is not None:
+            return _affine_floors(alpha.exact, rho.exact, n, upper), None
+        try:  # one enclosure pair narrow enough for the whole block
+            eps = Fraction(1, 1 << (int(n[-1]).bit_length() + 20))
+            (alo, ahi), (rlo, rhi) = alpha.enclosure(eps), rho.enclosure(eps)
+            f = _affine_floors(alo, rlo, n, upper)
+            unsure = np.flatnonzero(f != _affine_floors(ahi, rhi, n, upper))
+        except SpecError:  # an oracle that cannot give that width: refine each n
+            f, unsure = np.zeros_like(n), np.arange(n.size)
+        for j in unsure.tolist():
+            try:
+                f[j] = _floor_affine(alpha, rho, int(n[j]), upper)
+            except ApseqError as e:
+                return f[:j], e
+        return f, None
+
     def chunks():
-        last = _floor_affine(alpha, rho, 0, upper)
-        for start in itertools.count(1, _CHUNK):
-            out = []
-            for n in range(start, start + _CHUNK):
-                nxt = _floor_affine(alpha, rho, n, upper)
-                out.append(nxt - last)
-                last = nxt
-            yield out
+        last = np.empty(0, dtype=np.int64)  # the value at the previous block's last n
+        for start in itertools.count(0, _CHUNK):
+            f, fault = floors(np.arange(start, start + _CHUNK))
+            yield np.diff(np.concatenate((last, f)))
+            if fault is not None:
+                raise fault
+            last = f[-1:]
 
     prov = Provenance("mechanical", {"alpha": str(alpha), "rho": str(rho), "variant": variant})
     return Sequence.from_chunks(BINARY, chunks(), provenance=prov)
@@ -362,9 +403,10 @@ def morphic(phi: Morphism, seed: str, coding: Morphism | None = None) -> Sequenc
     1-uniform morphism.
 
     phi must be prolongable on seed: phi(seed) starts with seed and the
-    remainder keeps growing forever.  The evaluator appends the image of
-    one already-fixed letter at a time, so no symbol is ever re-derived.
-    phi(seed) = seed is accepted as the degenerate constant stream.
+    remainder keeps growing forever.  The evaluator appends the images of
+    already-fixed letters, as many as the next chunk needs, so no symbol
+    is ever re-derived.  phi(seed) = seed is accepted as the degenerate
+    constant stream.
     """
     if phi.source != phi.target:
         raise SpecError("fixed points need an endomorphism")
@@ -388,26 +430,81 @@ def morphic(phi: Morphism, seed: str, coding: Morphism | None = None) -> Sequenc
         out_alphabet = phi.source
         code_map = None
 
-    table = phi.image_codes()
-    seed_code = phi.source.index(seed)
-
     def chunks():
+        seed_code = phi.source.index(seed)
         if degenerate:
             c = seed_code if code_map is None else code_map[seed_code]
             yield from itertools.repeat([c] * _CHUNK)
-        codes, ptr = list(img.codes), 1
-        for done in itertools.count(0, _CHUNK):
-            while len(codes) < done + _CHUNK:
-                if ptr >= len(codes):
-                    raise SpecError("image collapse: the fixed point of phi is a finite word")
-                codes.extend(table[codes[ptr]])
-                ptr += 1
-            chunk = codes[done:done + _CHUNK]
-            yield chunk if code_map is None else [code_map[c] for c in chunk]
+        # The fixed point of phi is that of psi = phi**m.  An m with a long
+        # psi(seed) keeps the run of letters waiting for expansion long, so
+        # each step is a large array operation even where the word grows by
+        # a bounded amount per level (images of length 1, or erasing ones).
+        table = _image_table(phi.image_codes(), phi.source)
+        power = [_code_array(im, phi.source) for im in phi.image_codes()]
+        while len(power[seed_code]) < _CHUNK // 4 and max(map(len, power)) <= _CHUNK * 16:
+            power = [_expand(table, im) for im in power]
+        fixed = _fixed_point_chunks(
+            _image_table(power, phi.source), power[seed_code], lambda i, c: c,
+            SpecError("image collapse: the fixed point of phi is a finite word"))
+        if code_map is None:
+            yield from fixed
+        else:
+            recode = _code_array(code_map, out_alphabet)
+            yield from (recode[chunk] for chunk in fixed)
 
     prov = Provenance("morphic", {"rules": _rules_text(phi), "seed": seed,
                                   "coding": _rules_text(coding) if coding else "-"})
     return Sequence.from_chunks(out_alphabet, chunks(), provenance=prov)
+
+
+def _image_table(images: list, alphabet: Alphabet) -> tuple:
+    """Images (code sequences) as one flat code array with the offset and
+    length of each image."""
+    lens = np.array([len(im) for im in images], dtype=np.int64)
+    flat = np.concatenate([_code_array(im, alphabet) for im in images])
+    return flat, np.cumsum(lens) - lens, lens
+
+
+def _expand(table: tuple, keys: np.ndarray) -> np.ndarray:
+    """The concatenated images of the table's entries at keys."""
+    flat, offs, lens = table
+    n = lens[keys]
+    return flat[np.arange(int(n.sum())) + np.repeat(offs[keys] - (np.cumsum(n) - n), n)]
+
+
+def _fixed_point_chunks(table: tuple, first: np.ndarray, key, collapse):
+    """Chunks of the word w that starts with ``first`` and continues with
+    the images of its own letters from position 1 on: the letter c at
+    position i contributes the table's image at ``key(i, c)`` (``key`` acts
+    on index and code arrays).  Each step expands only as many letters as
+    the next chunk needs; a word that stops growing yields what it has and
+    raises ``collapse``."""
+    lens = table[2]
+    buf, size, ptr = first, first.size, 1
+    for done in itertools.count(0, _CHUNK):
+        while size < done + _CHUNK:
+            if ptr == size:
+                yield buf[done:size]
+                raise collapse
+            need = done + _CHUNK - size
+            end = min(size, ptr + need)  # nonerasing letters add >= 1 each
+            keys = key(np.arange(ptr, end), buf[ptr:end])
+            keys = keys[:np.searchsorted(np.cumsum(lens[keys]), need) + 1]
+            new = _expand(table, keys)
+            buf = _grown(buf, size + new.size)
+            buf[size:size + new.size] = new
+            size, ptr = size + new.size, ptr + keys.size
+        yield buf[done:done + _CHUNK]
+
+
+def _grown(buf: np.ndarray, size: int) -> np.ndarray:
+    """buf itself when it holds size codes, else a copy of at least twice
+    its capacity."""
+    if size <= buf.size:
+        return buf
+    out = np.empty(max(2 * buf.size, size), dtype=buf.dtype)
+    out[:buf.size] = buf
+    return out
 
 
 def _rules_text(phi: Morphism | None) -> str:
@@ -454,27 +551,36 @@ class DFAO:
             if q not in self.output:
                 raise SpecError(f"output missing for state {q!r}")
 
-    def run(self, n: int) -> str:
-        digits = [0]
-        if n > 0:
-            digits = []
-            m = n
-            while m:
-                digits.append(m % self.base)
-                m //= self.base
-            digits.reverse()
-        q = self.initial
-        for d in digits:
-            q = self.transition[(q, d)]
-        return self.output[q]
-
 
 def automatic(dfao: DFAO) -> Sequence:
     """x(n) = output of the DFAO run on the base-k digits of n (n = 0 reads
-    the single digit 0)."""
+    the single digit 0).  Indices with the same number of digits run
+    together, one table lookup per digit position."""
+    b, states = dfao.base, {q: j for j, q in enumerate(dfao.states)}
+    step = np.array([[states[dfao.transition[(q, d)]] for d in range(b)] for q in dfao.states])
+    out_alphabet = dfao.output_alphabet
+    outputs = np.array([out_alphabet.index(dfao.output[q]) if dfao.output[q] in out_alphabet
+                        else -1 for q in dfao.states])
+
+    def fn(i: np.ndarray) -> np.ndarray:
+        powers = [1]
+        while powers[-1] * b <= i.max():
+            powers.append(powers[-1] * b)
+        digits = np.searchsorted(np.array(powers[1:], dtype=np.int64), i, side="right") + 1
+        q = np.empty(i.size, dtype=np.int64)
+        for n in np.unique(digits).tolist():
+            at = np.flatnonzero(digits == n)
+            x, qs = i[at], np.full(at.size, states[dfao.initial])
+            for pw in reversed(powers[:n]):
+                qs = step[qs, x // pw % b]
+            q[at] = qs
+        codes = outputs[q]
+        if (codes < 0).any():  # an output outside the alphabet: the same error as a lookup
+            out_alphabet.index(dfao.output[dfao.states[q[np.argmax(codes < 0)]]])
+        return codes
+
     return Sequence.from_index_fn(
-        dfao.output_alphabet,
-        lambda i: dfao.output_alphabet.index(dfao.run(i)),
+        out_alphabet, fn,
         provenance=Provenance("automatic", {"base": dfao.base, "states": len(dfao.states)}))
 
 
@@ -906,28 +1012,35 @@ class ToeplitzPattern:
 
 def toeplitz(pattern: ToeplitzPattern) -> Sequence:
     """Iterated hole filling: repeat the pattern forever, then feed the
-    stream itself back into the holes, in order.  Position i resolves in
-    O(log) steps through the hole-index recursion."""
+    stream itself back into the holes, in order.  The hole at i reads
+    position (i // p) * q + (holes before slot i mod p), which is earlier.
+    Chunks span a whole number of pattern periods: each starts as the
+    tiled pattern, and its holes read their positions until nothing
+    changes.  That is exact, because every read goes to an earlier
+    position, so the values have one consistent assignment; past the first
+    chunks every position read lies in an earlier chunk."""
     slots = pattern.slots
     p = len(slots)
-    q = sum(1 for s in slots if s is None)
-    holes_before = []
-    seen = 0
-    for s in slots:
-        holes_before.append(seen)
-        if s is None:
-            seen += 1
+    is_hole = np.array([s is None for s in slots])
+    q = int(is_hole.sum())
+    size = -(-_CHUNK // p) * p
+    r = np.arange(size) % p
+    tile = _code_array([0 if s is None else s for s in slots], pattern.alphabet)[r]
+    holes = np.flatnonzero(is_hole[r])
+    reads = (holes // p) * q + (np.cumsum(is_hole) - is_hole)[r[holes]]
 
-    def value(i: int) -> int:
-        while True:
-            r = i % p
-            s = slots[r]
-            if s is not None:
-                return s
-            i = (i // p) * q + holes_before[r]
+    def chunks():
+        made = tile[:0]  # every symbol so far, in the narrowest dtype
+        for start in itertools.count(0, size):
+            made = _grown(made, start + size)
+            made[start:start + size] = tile
+            at, src = start + holes, start // p * q + reads
+            while not np.array_equal(made[at], new := made[src]):
+                made[at] = new
+            yield made[start:start + size]
 
-    return Sequence.from_index_fn(pattern.alphabet, value,
-                                  provenance=Provenance("toeplitz", {"pattern": pattern.text}))
+    return Sequence.from_chunks(pattern.alphabet, chunks(),
+                                provenance=Provenance("toeplitz", {"pattern": pattern.text}))
 
 
 def paperfolding() -> Sequence:
@@ -944,17 +1057,11 @@ def paperfolding() -> Sequence:
 def kolakoski() -> Sequence:
     """The run-length self-describing sequence over {1, 2} starting 2, 2:
     the lengths of its own runs spell out the sequence again.  Generated
-    feed-forward: run j has length x(j), with symbols alternating 2, 1."""
-    def chunks():
-        codes, run, sym = [1, 1], 1, 1  # codes of the symbols 2, 2
-        for done in itertools.count(0, _CHUNK):
-            while len(codes) < done + _CHUNK:
-                sym = 1 - sym
-                codes.extend([sym] * (codes[run] + 1))
-                run += 1
-            yield codes[done:done + _CHUNK]
-
-    return Sequence.from_chunks(Alphabet.of("1", "2"), chunks(), provenance=Provenance("kolakoski"))
+    feed-forward: run j has length x(j), with symbols alternating 2, 1,
+    which is the limit of :func:`kolakoski_system`."""
+    seq = alternating_morphic(kolakoski_system())
+    seq.provenance = Provenance("kolakoski")
+    return seq
 
 
 # -- position-alternating morphisms -----------------------------------------
@@ -1004,25 +1111,16 @@ def alternating_morphic(system: AlternatingMorphismSystem) -> Sequence:
     seed letter.  Each iterate is a prefix of the next, so the limit is
     well defined."""
     alphabet = system.alphabet
-    p = len(system.morphisms)
-    tables = [h.image_codes() for h in system.morphisms]
-    seed_code = alphabet.index(system.seed)
-
-    def chunks():
-        w = [seed_code]
-        yield w
-        while True:
-            new = []
-            for i, c in enumerate(w):
-                new.extend(tables[i % p][c])
-            if new == w:
-                raise HorizonExhausted("alternating system reached a finite fixed word")
-            done, w = len(w), new
-            yield from _chunked(w, done)
-
+    p, k = len(system.morphisms), len(alphabet)
+    images = [im for h in system.morphisms for im in h.image_codes()]
+    chunks = _fixed_point_chunks(
+        _image_table(images, alphabet),
+        _code_array(system.morphisms[0].images[system.seed].codes, alphabet),
+        lambda i, c: (i % p) * k + c,
+        HorizonExhausted("alternating system reached a finite fixed word"))
     rules = ";".join(_rules_text(h) for h in system.morphisms)
     prov = Provenance("alternating_morphic", {"rules": rules, "seed": system.seed})
-    return Sequence.from_chunks(alphabet, chunks(), provenance=prov)
+    return Sequence.from_chunks(alphabet, chunks, provenance=prov)
 
 
 def kolakoski_system() -> AlternatingMorphismSystem:
@@ -1091,10 +1189,10 @@ def progression_rewrite(base: Sequence, levels) -> Sequence:
     def chunks():
         for start in itertools.count(0, _CHUNK):
             src = resolve(np.arange(start, start + _CHUNK))
-            codes = base.codes(min(int(src.max()) + 1, base.horizon_cap))
-            beyond = np.flatnonzero(src >= len(codes))
+            have = min(int(src.max()) + 1, base.horizon_cap)
+            beyond = np.flatnonzero(src >= have)
             cut = int(beyond[0]) if beyond.size else src.size
-            yield [codes[j] for j in src[:cut].tolist()]
+            yield base.prefix_array(have)[src[:cut]]
             for j in src[cut:].tolist():  # past the base's cap: its own read raises
                 yield [base.code_at(j)]
 

@@ -171,3 +171,66 @@ def progression_rewrite(base_codes, levels, length):
                 out[start + j] = out[j]
         k += 1
     return out
+
+
+def fixed_point(images, seed, length):
+    """The first ``length`` codes of the fixed point of the substitution
+    ``images`` (code -> list of codes) from ``seed``, by iterating the
+    substitution; shorter when the word stops growing.  As phi(seed)
+    starts with seed, phi^(t+1)(seed) is phi^t(seed) followed by the image
+    of the part that phi^t(seed) added to phi^(t-1)(seed)."""
+    return alternating_fixed_point([images], seed, length)
+
+
+def alternating_fixed_point(tables, seed, length):
+    """Like fixed_point, but the letter at position i is rewritten by
+    tables[i mod p]."""
+    w, old = [seed], 0
+    while len(w) < length:
+        new = [c for i in range(old, len(w)) for c in tables[i % len(tables)][w[i]]]
+        if old == 0:
+            new = new[1:]  # the image of position 0 starts with the seed itself
+        if not new:
+            break
+        old = len(w)
+        w.extend(new)
+    return w[:length]
+
+
+def kolakoski(length):
+    """The first ``length`` terms (values 1 and 2) of the sequence that
+    starts 2, 2 and whose j-th run has length x(j), the runs alternating
+    2, 1, 2, ..."""
+    x = [2, 2]
+    j = 1
+    while len(x) < length:
+        x.extend([1 if j % 2 else 2] * x[j])
+        j += 1
+    return x[:length]
+
+
+def dfao_run(base, transition, initial, output, n):
+    """Output of the digit automaton on the base-``base`` digits of n, most
+    significant first; n = 0 reads the single digit 0."""
+    digits = []
+    while True:
+        digits.append(n % base)
+        n //= base
+        if n == 0:
+            break
+    q = initial
+    for d in reversed(digits):
+        q = transition[(q, d)]
+    return output[q]
+
+
+def mechanical(alpha, rho, length, upper=False):
+    """Codes x(n) = F(n + 1) - F(n) with F(n) the floor (ceiling when upper)
+    of alpha*n + rho, for Fraction alpha and rho."""
+    from fractions import Fraction
+    from math import ceil, floor
+
+    alpha, rho = Fraction(alpha), Fraction(rho)
+    f = ceil if upper else floor
+    vals = [f(alpha * n + rho) for n in range(length + 1)]
+    return [vals[n + 1] - vals[n] for n in range(length)]

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,15 +155,48 @@ def test_concurrent_readers():
     for make in makers:
         x = make()
         want = make().prefix(20000).codes
-        results = [None] * 8
+        results, arrays = [None] * 8, [None] * 8
         def reader(slot):
             results[slot] = tuple(x.codes(20000)[:20000])
+            n = 5000 * (slot % 4 + 1)  # the int64 mirror grows while others read it
+            arrays[slot] = x.prefix_array(n).copy()
         threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
         assert all(r == want for r in results)
+        assert all(a.tolist() == list(want[:a.size]) for a in arrays)
+
+
+@pytest.mark.parametrize("make", [G.thue_morse, G.paperfolding,
+                                  lambda: G.eventually_periodic("0010", "011")])
+def test_prefix_array_after_growing_reads(make):
+    x = make()
+    for n in (1, 4097, 70001):
+        arr = x.prefix_array(n)
+        assert arr.dtype == np.int64 and arr.size == n
+        assert np.array_equal(arr, np.array(x.codes(n)[:n]))
+    assert np.array_equal(x.prefix_array(70001), np.array(make().codes(70001)[:70001]))
+
+
+def test_from_index_fn_serves_the_codes_before_a_failing_index():
+    def fn(i):
+        if i[-1] >= 5000:
+            raise SpecError("no symbol at 5000")
+        return i & 1
+    x = Sequence.from_index_fn(Alphabet.binary(), fn)
+    assert x.codes(5000)[:5000] == [i & 1 for i in range(5000)]
+    for _ in range(2):
+        with pytest.raises(SpecError, match="no symbol at 5000"):
+            x.codes(5001)
+    # a digit automaton whose state after a digit 1 outputs a symbol
+    # outside its alphabet raises the alphabet's own error at index 1
+    arcs = {("a", 0): "a", ("a", 1): "b", ("b", 0): "b", ("b", 1): "b"}
+    y = G.automatic(G.DFAO(2, ("a", "b"), "a", arcs, {"a": "0", "b": "7"}, Alphabet.binary()))
+    assert y.prefix(1).text == "0"
+    with pytest.raises(SpecError, match="'7' not in alphabet"):
+        y.prefix(2)
 
 
 # -- chunk-generator streams ------------------------------------------------------
@@ -247,6 +281,15 @@ def _chunk_families():
         "split": lambda: T.split(G.thue_morse(), "0", 10**4),
         "pushdown": lambda: T.pushdown_transduce(T.counterexample_machine(),
                                                  G.alternating_prefix_example()),
+        "periodic": lambda: G.periodic("0110101"),
+        "eventually_periodic": lambda: G.eventually_periodic("0010", "011"),
+        "digit_sum": lambda: G.thue_morse("digit_sum"),
+        "toeplitz": lambda: G.toeplitz(G.ToeplitzPattern.from_text("10_1_")),
+        "automatic": lambda: G.automatic(G.DFAO(
+            3, ("x", "y"), "x", {("x", 0): "x", ("x", 1): "y", ("x", 2): "x",
+                                 ("y", 0): "y", ("y", 1): "x", ("y", 2): "y"},
+            {"x": "0", "y": "1"}, B)),
+        "mechanical_invphi2": lambda: G.mechanical(G.inv_golden_sq(), G.inv_golden_sq()),
     }
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import oracles
 from apseq import analysis as A
 from apseq import generators as G
 from apseq.core import Alphabet, Word, agreement_length
-from apseq.errors import GenerationStuck, PrecisionExhausted, SpecError
+from apseq.errors import GenerationStuck, HorizonExhausted, PrecisionExhausted, SpecError
 
 B = Alphabet.binary()
 
@@ -514,3 +515,149 @@ def test_witness_prefix(x5):
     assert x5.prefix(30).text == "013101242134143124210131012421"
     with pytest.raises(SpecError):
         G.aperiodicity_witness(2)
+
+
+# -- every block-built family against its per-symbol definition ------------------------
+
+
+_N = 3 * 2**16 + 5
+_READS = (1, 4095, 4097, 65537, 2 * 2**16 + 3, _N)
+_A3 = Alphabet.of("0", "1", "2")
+
+
+def _reads_match(x, want):
+    """Reads of growing, uneven lengths each return the definition's codes."""
+    for n in _READS:
+        n = min(n, len(want))
+        assert x.codes(n)[:n] == want[:n], n
+
+
+def _images(phi):
+    return [list(im) for im in phi.image_codes()]
+
+
+def test_periodic_families_match_the_definition():
+    _reads_match(G.periodic("0110101"), [int("0110101"[i % 7]) for i in range(_N)])
+    pre, period = "0010", "011"
+    _reads_match(G.eventually_periodic(pre, period),
+                 [int(pre[i]) if i < 4 else int(period[(i - 4) % 3]) for i in range(_N)])
+
+
+def test_digit_sum_matches_the_bit_count():
+    _reads_match(G.thue_morse("digit_sum"), [bin(i).count("1") & 1 for i in range(_N)])
+
+
+@pytest.mark.parametrize("text", ["1_0_", "10_1_", "1__"])
+def test_toeplitz_matches_the_hole_filling(text):
+    pat = G.ToeplitzPattern.from_text(text)
+    n = _N if text == "1_0_" else 2**14 + 3
+    want = oracles.toeplitz_fill(pat.slots, n, rounds=256)
+    _reads_match(G.paperfolding() if text == "1_0_" else G.toeplitz(pat), want)
+
+
+def test_automatic_matches_the_digit_run():
+    parity = _parity_dfao()
+    out = {"e": 0, "o": 1}
+    _reads_match(G.automatic(parity),
+                 [oracles.dfao_run(2, parity.transition, "e", out, i) for i in range(_N)])
+    # base 3, state 2q + d mod 3: a digit sum weighted by position, so the
+    # digits must be read most significant first
+    mod = G.DFAO(3, ("x", "y", "z"), "x",
+                 {(q, d): ("x", "y", "z")[(j * 2 + d) % 3]
+                  for j, q in enumerate("xyz") for d in range(3)},
+                 {"x": "0", "y": "1", "z": "2"}, _A3)
+    out3 = {"x": 0, "y": 1, "z": 2}
+    _reads_match(G.automatic(mod),
+                 [oracles.dfao_run(3, mod.transition, "x", out3, i) for i in range(3**9 + 5)])
+
+
+@pytest.mark.parametrize("make, rules, seed", [
+    (G.fibonacci, {"0": "01", "1": "0"}, "0"),
+    (lambda: G.thue_morse("morphic"), {"0": "01", "1": "10"}, "0"),
+    (lambda: G.aperiodicity_witness(5), G.triangular_images(5), "0"),
+    (None, {"0": "012", "1": "20", "2": "110"}, "0"),
+    (None, {"0": "01", "1": "12", "2": "2"}, "0"),    # polynomial growth
+    (None, {"0": "01", "1": "1", "2": "2"}, "0"),     # one new letter per level
+    (None, {"0": "012", "1": "", "2": "21"}, "0"),    # an erasing image
+])
+def test_morphic_matches_the_iterated_substitution(make, rules, seed):
+    letters = Alphabet(tuple(sorted({seed, *rules, *"".join(rules.values())})))
+    phi = G.Morphism.from_rules(letters, letters, rules, erasing_ok=True)
+    want = oracles.fixed_point(_images(phi), letters.index(seed), _N)
+    _reads_match(make() if make else G.morphic(phi, seed), want)
+
+
+def test_coded_morphic_matches_the_recoded_substitution():
+    phi = G.Morphism.from_rules(_A3, _A3, {"0": "012", "1": "20", "2": "110"})
+    coding = G.Morphism.from_rules(_A3, B, {"0": "1", "1": "0", "2": "1"})
+    want = [(1, 0, 1)[c] for c in oracles.fixed_point(_images(phi), 0, _N)]
+    _reads_match(G.morphic(phi, "0", coding), want)
+
+
+def test_kolakoski_and_alternating_match_their_definitions():
+    want = [v - 1 for v in oracles.kolakoski(_N)]
+    _reads_match(G.kolakoski(), want)
+    system = G.kolakoski_system()
+    _reads_match(G.alternating_morphic(system), want)
+    w = system.alphabet.word("2")
+    while len(w) < 2**14:
+        w = G.alternating_apply(system, w)
+    assert tuple(want[:len(w)]) == w.codes
+    h = [G.Morphism.from_rules(_A3, _A3, r) for r in
+         ({"0": "01", "1": "2", "2": "10"}, {"0": "2", "1": "01", "2": "0"},
+          {"0": "1", "1": "1", "2": "22"})]
+    three = G.AlternatingMorphismSystem(tuple(h), "0")
+    _reads_match(G.alternating_morphic(three),
+                 oracles.alternating_fixed_point([_images(m) for m in h], 0, _N))
+
+
+def test_alternating_finite_fixed_word_serves_it_then_stops():
+    ident = G.Morphism.identity(B)
+    x = G.alternating_morphic(G.AlternatingMorphismSystem((ident, ident), "1"))
+    assert x.prefix(1).text == "1"
+    for _ in range(2):
+        with pytest.raises(HorizonExhausted, match="reached a finite fixed word"):
+            x.prefix(2)
+
+
+@pytest.mark.parametrize("variant", ["lower", "upper"])
+def test_mechanical_matches_exact_fraction_floors(variant):
+    upper = variant == "upper"
+    want = oracles.mechanical(Fraction(2, 7), Fraction(1, 3), _N, upper)
+    _reads_match(G.mechanical("2/7", "1/3", variant), want)
+    # 3n/8 + 1/4 is an integer for every n = 2 mod 8
+    want = oracles.mechanical(Fraction(3, 8), Fraction(1, 4), 20000, upper)
+    assert G.mechanical("3/8", "1/4", variant).codes(20000)[:20000] == want
+    # n*alpha numerators pass 2**63, so the floors leave int64; with
+    # alpha = 1 - 1/c and rho = 5000/c, alpha*n + rho is the integer n at n = 5000
+    c = 10**20 + 7
+    for alpha, rho in ((Fraction(10**20, c), Fraction(0)), (Fraction(10**20, c), Fraction(5, 11)),
+                       (Fraction(c - 1, c), Fraction(5000, c))):
+        want = oracles.mechanical(alpha, rho, 20000, upper)
+        x = G.mechanical(G.RealParam.of(alpha), G.RealParam.of(rho), variant)
+        assert x.codes(20000)[:20000] == want, (alpha, rho)
+
+
+def _straddling(value, name):
+    """An enclosure oracle whose intervals always have value strictly inside."""
+    return G.RealParam(oracle=lambda eps: (value - Fraction(eps) / 2, value + Fraction(eps) / 2),
+                       name=name)
+
+
+@pytest.mark.parametrize("value, n", [(Fraction(1, 3), 3), (Fraction(1, 6000), 6000)])
+@pytest.mark.parametrize("variant", ["lower", "upper"])
+def test_mechanical_stops_at_the_first_unresolved_floor(value, n, variant):
+    # alpha * n is the integer 1, which no enclosure of alpha separates; the
+    # symbols before it stay readable, also when n lies past the first block
+    x = G.mechanical(_straddling(value, "edge"), G.RealParam.of(0), variant)
+    f = "ceil" if variant == "upper" else "floor"
+    assert len(x.codes(n - 1)) == n - 1
+    for _ in range(2):
+        with pytest.raises(PrecisionExhausted,
+                           match=rf"^could not separate {f}\(edge\*{n} \+ 0\) after 256 refinements$"):
+            x.codes(n)
+
+
+def test_mechanical_invphi2_equals_fibonacci_on_a_million_symbols(fib):
+    mech = G.mechanical(G.inv_golden_sq(), G.inv_golden_sq())
+    assert agreement_length(fib, mech, 10**6) is None
