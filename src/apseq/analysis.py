@@ -169,7 +169,7 @@ def _factor_word(x: Sequence, start: int, n: int) -> Word:
 def _factor_words(x: Sequence, starts: np.ndarray, n: int, horizon: int) -> list:
     """The length-n words at the given starts of the horizon prefix, sliced
     from its code list without re-checking the codes."""
-    codes = x.codes(horizon)
+    codes = x.prefix_array(horizon).tolist() if len(starts) else []
     return [Word._of(x.alphabet, tuple(codes[i:i + n])) for i in starts]
 
 
@@ -569,9 +569,9 @@ def prouhet_partition(n: int) -> ProuhetReport:
         raise SpecError("need n >= 1")
     from .generators import thue_morse
     tm = thue_morse("digit_sum")
-    codes = tm.codes(2 ** n)
-    zeros = [i for i in range(2 ** n) if codes[i] == 0]
-    ones = [i for i in range(2 ** n) if codes[i] == 1]
+    codes = tm.prefix_array(2 ** n)
+    zeros = np.flatnonzero(codes == 0).tolist()
+    ones = np.flatnonzero(codes == 1).tolist()
     zsums = [sum(i ** e for i in zeros) for e in range(n)]
     osums = [sum(i ** e for i in ones) for e in range(n)]
     return ProuhetReport(n, zeros, ones, zsums, osums)

@@ -7,10 +7,10 @@ Conventions used throughout the toolkit:
 * symbols are opaque tokens with printable names (plain strings); binary
   sequences use the names "0" and "1".
 
-A Sequence is an immutable value: a total index oracle plus a memo cache
-that grows monotonically in chunks.  Evaluation past the horizon cap
-(default 10**7 symbols) raises :class:`HorizonExhausted` instead of
-blocking forever.
+A Sequence is an immutable value: a total index oracle plus a store of
+symbol codes (one int64 buffer) that grows monotonically in chunks.
+Evaluation past the horizon cap (default 10**7 symbols) raises
+:class:`HorizonExhausted` instead of blocking forever.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import ApseqError, HorizonExhausted, SpecError
 
 DEFAULT_HORIZON_CAP = 10**7
 
-_CHUNK = 4096  # memo cache grows in chunks of this many symbols (a power of two)
+_CHUNK = 4096  # the store grows in chunks of this many symbols (a power of two)
 
 
 @dataclass(frozen=True)
@@ -204,17 +204,43 @@ class Provenance:
         return f"{self.family} {inner}"
 
 
+class _Store:
+    """A grow-only int64 buffer and the count of codes filled in it (``len``).
+    A reader without the lock reads the count first: growing copies the
+    filled codes before it swaps the buffer in, so any later buffer holds them."""
+
+    def __init__(self):
+        self.data, self.size = np.empty(0, dtype=np.int64), 0
+
+    def __len__(self):
+        return self.size
+
+    def reserve(self, n: int):
+        if self.data.size < n:
+            grown = np.empty(n, dtype=np.int64)
+            grown[:self.size] = self.data[:self.size]
+            self.data = grown
+
+    def extend(self, codes):
+        """Append codes (a list or an integer array) after the filled ones."""
+        end = self.size + len(codes)
+        self.reserve(end)
+        self.data[self.size:end] = codes
+        self.size = end
+
+
 class Sequence:
     """An immutable infinite symbolic stream.
 
-    ``extend`` receives the internal cache (a list of symbol codes) and a
-    target length and must append codes until the cache reaches at least
-    that length; it is called under the sequence lock.  Families build it
-    with :meth:`from_index_fn` (a stateless vector oracle: int64 index
-    array -> code array) or :meth:`from_chunks` (a generator that keeps its
-    state in its locals).
-    The same index always yields the same symbol.  A stream whose generator
-    raised stays failed: reads past the cache raise the same class again.
+    ``extend`` receives the store (an int64 buffer whose ``len`` is the
+    number of codes filled) and a target length, and must append codes
+    with ``store.extend(codes)`` until the store reaches at least that
+    length; it is called under the sequence lock.  Only :meth:`from_chunks`
+    builds one, from a generator that keeps its state in its locals, itself
+    or for :meth:`from_index_fn` (a vector oracle: int64 index array ->
+    code array).  The same index always yields the same symbol.  A stream
+    whose generator raised stays failed: later reads that need new codes
+    raise the same class again.
     """
 
     def __init__(self, alphabet: Alphabet, extend, *, bound: Optional[Bound] = None,
@@ -225,10 +251,8 @@ class Sequence:
         self.certified_bound = bound
         self.provenance = provenance or Provenance("anonymous")
         self.horizon_cap = horizon_cap
-        self._cache: list = []
+        self._store = _Store()
         self._lock = threading.RLock()
-        self._np_cache = np.empty(0, dtype=np.int64)
-        self._np_size = 0  # codes copied into _np_cache so far
 
     @staticmethod
     def from_index_fn(alphabet, fn, **kw) -> "Sequence":
@@ -252,8 +276,8 @@ class Sequence:
 
     @staticmethod
     def from_chunks(alphabet, chunks: Iterator, **kw) -> "Sequence":
-        """Sequence fed by a deterministic iterator of symbol-code lists or
-        integer arrays (stored as Python ints, one ``tolist`` per array).
+        """Sequence fed by a deterministic iterator of integer arrays or
+        symbol-code lists, copied into the store as they are needed.
 
         Chunks may have any length, empty included; the part of a chunk past
         the requested target waits behind an offset for the next read.  Reads
@@ -262,20 +286,20 @@ class Sequence:
         needs new codes.
         """
         it = iter(chunks)
-        chunk, off, fault = [], 0, None
+        chunk, off, fault = (), 0, None
 
-        def extend(cache, target):
+        def extend(store, target):
             nonlocal chunk, off, fault
             if fault is not None:
                 raise fault.with_traceback(None)
             try:
-                while len(cache) < target:
+                while len(store) < target:
                     if off == len(chunk):
                         chunk, off = next(it), 0
-                        if isinstance(chunk, np.ndarray):
-                            chunk = chunk.tolist()
-                    end = off + target - len(cache)
-                    cache.extend(chunk[off:end])
+                        if isinstance(chunk, (list, tuple)) and len(alphabet) <= 256:
+                            chunk = np.frombuffer(bytes(chunk), np.uint8)  # 3x numpy's speed
+                    end = off + target - len(store)
+                    store.extend(chunk[off:end])
                     off = min(end, len(chunk))
             except StopIteration:
                 pass
@@ -288,72 +312,75 @@ class Sequence:
     # -- evaluation ---------------------------------------------------
 
     def _fill(self, n: int):
-        if n <= len(self._cache):
+        if n <= self._store.size:
             return
         if n > self.horizon_cap:
             raise HorizonExhausted(
                 f"requested {n} symbols of {self.provenance}, cap is {self.horizon_cap}",
                 needed=n, cap=self.horizon_cap)
         with self._lock:
-            if n <= len(self._cache):
+            store = self._store
+            if n <= store.size:
                 return
             target = min(-(-n // _CHUNK) * _CHUNK, self.horizon_cap)
+            if store.data.size < target:  # doubling, or the whole target at once
+                store.reserve(max(min(2 * store.data.size, self.horizon_cap), target))
             try:
-                self._extend(self._cache, target)
+                self._extend(store, target)
             except ApseqError:  # codes made before the fault still serve this read
-                if len(self._cache) < n:
+                if store.size < n:
                     raise
-            if len(self._cache) < n:
+            if store.size < n:
                 raise HorizonExhausted(
-                    f"{self.provenance} produced only {len(self._cache)} symbols",
+                    f"{self.provenance} produced only {store.size} symbols",
                     needed=n, cap=self.horizon_cap)
 
+    def _view(self, i: int, j: int) -> np.ndarray:
+        """Codes i..j-1 as a read-only view of the store."""
+        self._fill(j)
+        view = self._store.data[i:j]
+        view.flags.writeable = False
+        return view
+
     def code_at(self, i: int) -> int:
+        if i < 0:  # the store's capacity past the filled codes is not a sequence position
+            raise IndexError(f"negative index {i} into {self.provenance}")
         self._fill(i + 1)
-        return self._cache[i]
+        return int(self._store.data[i])
 
     def __getitem__(self, i: int) -> str:
         return self.alphabet.symbols[self.code_at(i)]
 
     def codes(self, n: int) -> list:
-        """Fill to at least n symbols and return the internal code list.
-
-        The list may be longer than n and must be treated as read-only;
-        this avoids a copy on the hot evaluation paths.
-        """
+        """Fill to at least n symbols and return every filled code as a new
+        list (it may be longer than n)."""
         self._fill(n)
-        return self._cache
+        return self._view(0, self._store.size).tolist()
 
     def prefix_array(self, n: int) -> np.ndarray:
-        """The first n symbol codes as an int64 array (cached, grow-only:
-        each call copies only the codes the mirror lacks, and its capacity
-        doubles)."""
-        self._fill(n)
-        with self._lock:
-            done, size = self._np_size, len(self._cache)
-            if done < n:
-                if self._np_cache.size < size:
-                    grown = np.empty(max(2 * self._np_cache.size, size), dtype=np.int64)
-                    grown[:done] = self._np_cache[:done]
-                    self._np_cache = grown
-                # in slices, so the list slice and its converted copy stay small
-                for a in range(done, size, _CHUNK * 16):
-                    b = min(a + _CHUNK * 16, size)
-                    self._np_cache[a:b] = self._cache[a:b]
-                self._np_size = size
-            return self._np_cache[:n]
+        """The first n symbol codes as a read-only int64 view of the store
+        (no copy; it stays valid while the store grows)."""
+        return self._view(0, n)
+
+    def chunks(self, start: int = 0) -> Iterator[np.ndarray]:
+        """The codes from ``start`` on, as read-only views of at most _CHUNK
+        codes; each view asks the stream only for its next code."""
+        i = start
+        while True:
+            self._fill(i + 1)
+            view = self._view(i, min(self._store.size, i + _CHUNK))
+            i += view.size
+            yield view
 
     # -- word views ---------------------------------------------------
 
     def prefix(self, n: int) -> Word:
         if n < 0:
             raise SpecError("prefix length must be >= 0")
-        self._fill(n)
-        return Word(self.alphabet, tuple(self._cache[:n]))
+        return Word(self.alphabet, tuple(self._view(0, n).tolist()))
 
     def segment(self, seg: Segment) -> Word:
-        self._fill(seg.j + 1)
-        return Word(self.alphabet, tuple(self._cache[seg.i:seg.j + 1]))
+        return Word(self.alphabet, tuple(self._view(seg.i, seg.j + 1).tolist()))
 
     def with_bound(self, bound: Bound) -> "Sequence":
         """Same stream with a (caller-asserted) certified bound attached."""
@@ -469,11 +496,6 @@ def shift(x: Sequence, n: int) -> Sequence:
     """
     if n < 0:
         raise SpecError("shift offset must be >= 0")
-
-    def extend(cache, target):
-        xs = x.codes(target + n)
-        cache.extend(xs[n + len(cache):n + target])
-
-    return Sequence(x.alphabet, extend,
-                    provenance=Provenance("shift", {"of": str(x.provenance), "by": n}),
-                    horizon_cap=x.horizon_cap - n)
+    return Sequence.from_chunks(x.alphabet, x.chunks(n),
+                                provenance=Provenance("shift", {"of": str(x.provenance), "by": n}),
+                                horizon_cap=x.horizon_cap - n)

@@ -49,11 +49,6 @@ def _code_array(codes, alphabet: Alphabet) -> np.ndarray:
     return np.array(codes, dtype=np.min_scalar_type(len(alphabet) - 1))
 
 
-def _chunked(codes, start: int = 0):
-    """codes[start:] as consecutive slices of at most _CHUNK codes."""
-    return (codes[i:i + _CHUNK] for i in range(start, len(codes), _CHUNK))
-
-
 # -- periodic families ----------------------------------------------------
 
 
@@ -107,16 +102,10 @@ def with_prefix(prefix_word, x: Sequence) -> Sequence:
     u = _as_word(prefix_word, x.alphabet)
     if u.alphabet != x.alphabet:
         raise SpecError("prefix word must be over the sequence alphabet")
-    k, ucodes = len(u), u.codes
-
-    def extend(cache, target):
-        cache.extend(ucodes[len(cache):target])
-        if len(cache) < target:
-            cache.extend(x.codes(target - k)[len(cache) - k:target - k])
-
-    return Sequence(x.alphabet, extend,
-                    provenance=Provenance("with_prefix", {"prefix": u.text, "of": str(x.provenance)}),
-                    horizon_cap=x.horizon_cap)
+    return Sequence.from_chunks(
+        x.alphabet, itertools.chain([u.codes], x.chunks()),
+        provenance=Provenance("with_prefix", {"prefix": u.text, "of": str(x.provenance)}),
+        horizon_cap=x.horizon_cap)
 
 
 # -- doubling construction (invert-and-append) ----------------------------
@@ -135,13 +124,13 @@ def thue_morse(definition: str = "recurrence") -> Sequence:
     """
     if definition == "recurrence":
         def chunks():
-            # x(2i) = x(i) and x(2i + 1) = 1 - x(i), applied log2(_CHUNK) times,
-            # give x(_CHUNK * j + r) = x(j) xor x(r): each chunk is the first
-            # one or its complement, as x(j) says
-            first = [0]
-            for i in range(1, _CHUNK):
-                first.append(first[i >> 1] ^ (i & 1))
-            both, signs = (first, [1 - c for c in first]), [0]
+            # x(2i) = x(i) and x(2i + 1) = 1 - x(i), applied to all i at once
+            # log2(_CHUNK) times, build the first chunk and give x(_CHUNK * j + r)
+            # = x(j) xor x(r): each chunk is the first one or its complement
+            first = np.zeros(1, dtype=np.uint8)
+            while first.size < _CHUNK:
+                first = np.stack((first, 1 - first), axis=1).ravel()
+            both, signs = (first, 1 - first), [0]
             for j in itertools.count():
                 if j:
                     signs.append(signs[j >> 1] ^ (j & 1))
@@ -434,7 +423,7 @@ def morphic(phi: Morphism, seed: str, coding: Morphism | None = None) -> Sequenc
         seed_code = phi.source.index(seed)
         if degenerate:
             c = seed_code if code_map is None else code_map[seed_code]
-            yield from itertools.repeat([c] * _CHUNK)
+            yield from itertools.repeat(np.full(_CHUNK, c))
         # The fixed point of phi is that of psi = phi**m.  An m with a long
         # psi(seed) keeps the run of letters waiting for expansion long, so
         # each step is a large array operation even where the word grows by
@@ -647,7 +636,7 @@ def block_product_seq(blocks, *, assert_both_letters: bool = False,
 
     def chunks():
         w = np.array(checked_block(0).codes, dtype=np.uint8)
-        yield from _chunked(w)
+        yield w
         stagnant = 0
         for level in itertools.count(1):
             blk = checked_block(level)
@@ -659,7 +648,7 @@ def block_product_seq(blocks, *, assert_both_letters: bool = False,
             stagnant = 0
             bits = np.array(blk.codes, dtype=np.uint8)[:, None]
             done, w = w.size, np.where(bits == 0, w, 1 - w).ravel()
-            yield from _chunked(w, done)
+            yield w[done:]
 
     bound = None
     if assert_both_letters:
@@ -950,14 +939,14 @@ def scheme_generate(scheme, mode: str = "AP", policy="lex", seed=None,
     jlen = len(junk_word)
 
     def chunks():
-        yield from _chunked(junk_word.codes)
+        yield junk_word.codes
         word = None
         for level in itertools.count():
             done = len(word) if word is not None else 0
             word = choose(level, word)
             if len(word) == done:
                 raise GenerationStuck(f"level {level} adds no symbols to the chain", level=level)
-            yield from _chunked(word.codes, done)
+            yield from (word.codes[i:i + _CHUNK] for i in range(done, len(word), _CHUNK))
 
     bound = None
     if is_gap:
@@ -1169,21 +1158,20 @@ def progression_rewrite(base: Sequence, levels) -> Sequence:
         return v
 
     def resolve(idx: np.ndarray) -> np.ndarray:
-        """The base index that each index of idx reads.  An index pinned at
-        level k (the first k with i mod n_{k+1} < n_k) moves to i mod n_{k+1}
-        and is resolved again; one below n_{k+1} is never pinned past k."""
-        todo = np.arange(idx.size)
+        """The base index that each index of idx reads, in one walk up the
+        levels.  An index i pinned first at level k (i >= n_{k+1} and
+        r = i mod n_{k+1} < n_k) reads r, which no level pins again: for
+        j < k, r mod n_{j+1} = i mod n_{j+1} >= n_j (n_{j+1} divides
+        n_{k+1}, and i >= n_{j+1} was not pinned at j), and for j >= k,
+        r < n_k < n_{j+1}."""
+        todo, k = np.arange(idx.size), 0
         while todo.size:
-            moved, k = [], 0
-            while todo.size:
-                i, n = idx[todo], lv(k + 1)
-                r = i % n
-                hit = (r < lv(k)) & (i >= n)
-                idx[todo[hit]] = r[hit]
-                moved.append(todo[hit])
-                todo = todo[(i >= n) & ~hit]
-                k += 1
-            todo = np.concatenate(moved)
+            i, n = idx[todo], lv(k + 1)
+            r = i % n
+            hit = (r < lv(k)) & (i >= n)
+            idx[todo[hit]] = r[hit]
+            todo = todo[(i >= n) & ~hit]
+            k += 1
         return idx
 
     def chunks():
@@ -1226,24 +1214,23 @@ def aperiodicity_witness(k: int) -> Sequence:
     1 - 2/k from all of its shifts."""
     if k < 3:
         raise SpecError("the witness construction needs k >= 3")
-    alphabet = Alphabet(tuple(str(i) for i in range(k)))
-    phi = Morphism.from_rules(alphabet, alphabet, triangular_images(k))
-    seq = morphic(phi, "0")
+    seq = morphic(_triangular_morphism(k), "0")
     seq.provenance = Provenance("aperiodicity_witness", {"k": k})
     return seq
 
 
+def _triangular_morphism(k: int) -> Morphism:
+    """The witness substitution: letter i -> the letters i + j(j+1)/2 mod k, j < k."""
+    alphabet = Alphabet(tuple(str(i) for i in range(k)))
+    return Morphism(alphabet, alphabet, {
+        str(i): alphabet.word([str((i + j * (j + 1) // 2) % k) for j in range(k)])
+        for i in range(k)})
+
+
 def triangular_images(k: int) -> dict:
-    """The image table of the witness substitution, letter -> word text."""
-    out = {}
-    for i in range(k):
-        word = []
-        total = 0
-        for j in range(k):
-            total += j
-            word.append(str((i + total) % k))
-        out[str(i)] = "".join(word)
-    return out
+    """The image table of the witness substitution, letter -> word text
+    (comma-separated letter names from k = 11 on, as ``Word.text``)."""
+    return {a: w.text for a, w in _triangular_morphism(k).images.items()}
 
 
 # -- misc plumbing -------------------------------------------------------------

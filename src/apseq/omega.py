@@ -105,7 +105,7 @@ def run(automaton, x: Sequence, steps: int) -> list:
     state, state i+1 follows by reading x(i)."""
     delta = _delta(automaton)
     syms = x.alphabet.symbols
-    xs = x.codes(max(steps - 1, 0))
+    xs = x.prefix_array(max(steps - 1, 0)).tolist()
     states = [automaton.initial]
     q = automaton.initial
     try:
@@ -137,7 +137,7 @@ def _no_transition(key: tuple) -> SpecError:
 
 # -- certified decision -----------------------------------------------------------
 
-_SCAN_CHUNK = 1 << 16   # symbols turned into one array at a time (a multiple of the block)
+_SCAN_CHUNK = 1 << 16   # symbols scanned at a time (a multiple of the block)
 _SCAN_BLOCK = 128       # symbols per block whose state map is composed at once
 
 
@@ -155,11 +155,11 @@ def _certified_limit_set(automaton, x: Sequence):
             f"certified window [{w}, {2*w - 1}] exceeds the horizon cap "
             f"{x.horizon_cap}; raise the cap to decide this pair",
             needed=2 * w, cap=x.horizon_cap)
-    limit = _window_states(automaton.initial, delta, x.alphabet, x.codes(2 * w), w)
+    limit = _window_states(automaton.initial, delta, x.alphabet, x.prefix_array(2 * w), w)
     return limit, Segment(w, 2 * w - 1), g.provenance
 
 
-def _window_states(initial, delta: dict, alphabet: Alphabet, xs: list, w: int) -> frozenset:
+def _window_states(initial, delta: dict, alphabet: Alphabet, xs: np.ndarray, w: int) -> frozenset:
     """The states q_i, w <= i < 2w, of the run q_0 = initial,
     q_{i+1} = delta(q_i, xs[i]).
 
@@ -187,7 +187,7 @@ def _window_states(initial, delta: dict, alphabet: Alphabet, xs: list, w: int) -
         n = len(part)
         nb = -(-n // B)
         cols = np.zeros(nb * B, dtype=np.intp)
-        cols[:n] = np.frombuffer(bytes(part), np.uint8) if k <= 256 else part
+        cols[:n] = part
         cols = np.ascontiguousarray(cols.reshape(nb, B).T)   # cols[j]: symbol j of each block
         maps = np.repeat(starts[:, None], nb, axis=1)      # maps[s, b]: block b run from s
         tmp = np.empty_like(maps)

@@ -11,7 +11,10 @@ morphism, and no window formula is asserted for morphism images).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import _CHUNK, Alphabet, Bound, Provenance, Sequence, Word, read_records
 from .errors import MachineFault, MachineParseError, SpecError
@@ -85,15 +88,6 @@ def pair_alphabet(first: Alphabet, second: Alphabet) -> Alphabet:
 # -- morphism application -------------------------------------------------------
 
 
-def _input_chunks(x: Sequence, start: int = 0):
-    """The codes of x from ``start`` on; each chunk asks x only for its next code."""
-    i = start
-    while True:
-        xs = x.codes(i + 1)[i:i + _CHUNK]
-        i += len(xs)
-        yield xs
-
-
 def apply_morphism(phi: Morphism, x: Sequence) -> Sequence:
     """Concatenation of the letter images along the sequence.  No
     certified bound propagates: class preservation holds, but no window
@@ -106,9 +100,9 @@ def apply_morphism(phi: Morphism, x: Sequence) -> Sequence:
 
     def chunks():
         stall = 0
-        for xs in _input_chunks(x):
+        for xs in x.chunks():
             out = []
-            for c in xs:
+            for c in xs.tolist():
                 img = table[c]
                 out.extend(img)
                 stall = stall + 1 if not img else 0
@@ -181,9 +175,9 @@ def transduce(machine: Transducer, x: Sequence) -> Sequence:
 
     def chunks():
         q = machine.initial
-        for xs in _input_chunks(x):
+        for xs in x.chunks():
             out = []
-            for c in xs:
+            for c in xs.tolist():
                 a = insyms[c]
                 out.extend(emit[(q, a)])
                 q = step[(q, a)]
@@ -250,21 +244,22 @@ def product(x: Sequence, y: Sequence) -> Sequence:
     out = pair_alphabet(x.alphabet, y.alphabet)
     ky = len(y.alphabet)
 
-    def extend(cache, target):
-        xs = x.codes(target)
-        ys = y.codes(target)
-        for i in range(len(cache), target):
-            cache.append(xs[i] * ky + ys[i])
+    def chunks():
+        for i in itertools.count(0, _CHUNK):
+            j = min(i + _CHUNK, x.horizon_cap, y.horizon_cap)
+            if j <= i:
+                return
+            yield x.prefix_array(j)[i:] * ky + y.prefix_array(j)[i:]
 
     bound = None
     p = y.provenance.params.get("period_len") if y.provenance.family == "periodic" else None
     if p and x.certified_bound is not None:
         bound = bound_formulas(x.certified_bound, p)["image"]
-    return Sequence(out, extend, bound=bound,
-                    provenance=Provenance("product",
-                                          {"left": str(x.provenance),
-                                           "right": str(y.provenance)}),
-                    horizon_cap=min(x.horizon_cap, y.horizon_cap))
+    return Sequence.from_chunks(out, chunks(), bound=bound,
+                                provenance=Provenance("product",
+                                                      {"left": str(x.provenance),
+                                                       "right": str(y.provenance)}),
+                                horizon_cap=min(x.horizon_cap, y.horizon_cap))
 
 
 def cyclic(x: Sequence, m: int) -> Sequence:
@@ -284,13 +279,9 @@ def split(x: Sequence, marker: str, horizon: int) -> Sequence:
     the first block.  The block alphabet is discovered on the horizon
     prefix; a later block outside it is a hard error."""
     mcode = x.alphabet.index(marker)
-    xs = x.codes(horizon)
-    blocks = []
-    start = 0
-    for i in range(horizon):
-        if xs[i] == mcode:
-            blocks.append(tuple(xs[start:i + 1]))
-            start = i + 1
+    xs = x.prefix_array(horizon)
+    ends = (np.flatnonzero(xs == mcode) + 1).tolist()
+    blocks = [tuple(xs[a:b].tolist()) for a, b in zip([0] + ends, ends)]
     if len(blocks) < 2:
         raise SpecError(f"marker {marker!r} does not cut twice within the horizon")
     kinds = sorted(set(blocks))
@@ -301,9 +292,9 @@ def split(x: Sequence, marker: str, horizon: int) -> Sequence:
 
     def chunks():
         run = []
-        for xs in _input_chunks(x, len(blocks[0])):
+        for xs in x.chunks(len(blocks[0])):
             codes = []
-            for c in xs:
+            for c in xs.tolist():
                 run.append(c)
                 if c == mcode:
                     key = tuple(run)
@@ -366,10 +357,10 @@ def pushdown_transduce(machine: PushdownTransducer, x: Sequence) -> Sequence:
 
     def chunks():
         q, stack = machine.initial, []
-        for xs in _input_chunks(x):
+        for xs in x.chunks():
             codes = []
             try:
-                for c in xs:
+                for c in xs.tolist():
                     emit, q, action = machine.rule(q, insyms[c], stack[-1] if stack else None)
                     if action[0] == "push":
                         stack.append(action[1])

@@ -383,14 +383,46 @@ def test_readme_file_formats_parse(tmp_path):
     assert G.scheme_validate(parse_scheme_file(str(tmp_path / "scheme")), 3) == []
 
 
-def test_tracer_reaches_every_traced_name():
-    # perfbench/tracing.py patches package functions by name for --trace 1
+def _tracing():
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_reaches_every_traced_name():
+    # perfbench/tracing.py patches package functions by name for --trace 1
+    tracing = _tracing()
     tracer = tracing.Tracer()
     try:
         tracer.install()
+    finally:
+        tracer.uninstall()
+    assert tracing.Tracer.leftovers() == []
+
+
+def test_tracer_spans_count_the_codes_filled():
+    # the tracer wraps Sequence.__init__ and the extend(store, target) it is
+    # given, and reads len(store) before and after each fill
+    tracing = _tracing()
+    NAME, INFO = tracing.NAME, tracing.INFO
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tm = G.thue_morse()
+        seqs = {"generators.fibonacci": G.fibonacci(),
+                "transforms.transduce": T.transduce(T.cyclic_transducer(G.BINARY, 3), tm),
+                "generators.thue_morse_recurrence": tm}
+        for name, n in (("generators.fibonacci", 5000), ("transforms.transduce", 9000),
+                        ("generators.fibonacci", 20000), ("transforms.transduce", 13000)):
+            x, start = seqs[name], len(tracer.spans)
+            before = len(x.codes(0))
+            x.prefix_array(n)
+            spans = [sp for sp in tracer.spans[start:] if sp[NAME] == name]
+            assert [sp[INFO]["symbols"] for sp in spans] == [len(x.codes(0)) - before], name
+        inner = [sp[INFO]["symbols"] for sp in tracer.spans
+                 if sp[NAME] == "generators.thue_morse_recurrence"]
+        assert inner and sum(inner) == len(tm.codes(0))
     finally:
         tracer.uninstall()
     assert tracing.Tracer.leftovers() == []

@@ -151,14 +151,16 @@ def test_concurrent_readers():
     from apseq import transforms as T
 
     makers = (G.thue_morse, G.kolakoski,
-              lambda: T.transduce(T.cyclic_transducer(G.BINARY, 3), G.thue_morse()))
+              lambda: T.transduce(T.cyclic_transducer(G.BINARY, 3), G.thue_morse()),
+              lambda: shift(G.thue_morse(), 10), lambda: G.with_prefix("221", G.kolakoski()),
+              lambda: T.cyclic(G.thue_morse(), 3))
     for make in makers:
         x = make()
         want = make().prefix(20000).codes
         results, arrays = [None] * 8, [None] * 8
         def reader(slot):
             results[slot] = tuple(x.codes(20000)[:20000])
-            n = 5000 * (slot % 4 + 1)  # the int64 mirror grows while others read it
+            n = 5000 * (slot % 4 + 1)  # views of the store while other threads read it
             arrays[slot] = x.prefix_array(n).copy()
         threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
         for t in threads:
@@ -169,15 +171,59 @@ def test_concurrent_readers():
         assert all(a.tolist() == list(want[:a.size]) for a in arrays)
 
 
+def test_views_read_while_the_store_grows():
+    # a reader without the lock reads the filled count before the buffer, so
+    # no view shows a position that growing the buffer has not copied yet
+    import sys
+    import threading
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for make in (G.thue_morse, lambda: G.with_prefix("0", G.fibonacci())) * 6:
+            x, want = make(), np.array(make().codes(2 * 10**5))
+            torn = []
+            def reader(slot):
+                for n in range(1 + 37 * slot, 2 * 10**5, 1500):
+                    arr = x.prefix_array(n)
+                    if arr[-1] != want[n - 1] or arr[n // 2] != want[n // 2]:
+                        torn.append(n)
+            threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert not torn
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_negative_index_is_refused(tm):
+    with pytest.raises(IndexError):
+        tm.code_at(-1)
+    with pytest.raises(IndexError):
+        tm[-3]
+
+
 @pytest.mark.parametrize("make", [G.thue_morse, G.paperfolding,
                                   lambda: G.eventually_periodic("0010", "011")])
 def test_prefix_array_after_growing_reads(make):
     x = make()
+    early = []
     for n in (1, 4097, 70001):
         arr = x.prefix_array(n)
         assert arr.dtype == np.int64 and arr.size == n
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
         assert np.array_equal(arr, np.array(x.codes(n)[:n]))
+        early.append(arr)
     assert np.array_equal(x.prefix_array(70001), np.array(make().codes(70001)[:70001]))
+    # arrays taken before the store grew still hold the same codes
+    codes = x.codes(70001)
+    for arr in early[:2]:
+        assert arr.tolist() == codes[:arr.size]
 
 
 def test_from_index_fn_serves_the_codes_before_a_failing_index():
@@ -283,6 +329,9 @@ def _chunk_families():
                                                  G.alternating_prefix_example()),
         "periodic": lambda: G.periodic("0110101"),
         "eventually_periodic": lambda: G.eventually_periodic("0010", "011"),
+        "shift": lambda: shift(G.kolakoski(), 4093),
+        "with_prefix": lambda: G.with_prefix("0010", G.fibonacci()),
+        "cyclic": lambda: T.cyclic(G.thue_morse(), 3),
         "digit_sum": lambda: G.thue_morse("digit_sum"),
         "toeplitz": lambda: G.toeplitz(G.ToeplitzPattern.from_text("10_1_")),
         "automatic": lambda: G.automatic(G.DFAO(

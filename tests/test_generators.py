@@ -481,7 +481,8 @@ def test_progression_rewrite_untouched_positions_keep_base():
 
 def test_progression_rewrite_equals_the_definition():
     for pre, period, n0, ratio in (("", "01", 2, 3), ("0", "011", 8, 8), ("10", "1", 1, 2),
-                                   ("", "012", 3, 2), ("0101", "00111", 5, 3), ("", "0", 4, 4)):
+                                   ("", "012", 3, 2), ("0101", "00111", 5, 3), ("", "0", 4, 4),
+                                   ("1", "10", 6, 2), ("", "0112", 7, 5)):
         base = G.eventually_periodic(pre, period) if pre else G.periodic(period)
         levels = G.geometric_levels(n0, ratio)
         x = G.progression_rewrite(base, levels)
@@ -585,6 +586,17 @@ def test_morphic_matches_the_iterated_substitution(make, rules, seed):
     phi = G.Morphism.from_rules(letters, letters, rules, erasing_ok=True)
     want = oracles.fixed_point(_images(phi), letters.index(seed), _N)
     _reads_match(make() if make else G.morphic(phi, seed), want)
+
+
+@pytest.mark.parametrize("k", [11, 13])
+def test_witness_with_two_digit_letters_matches_the_substitution(k):
+    # letter i -> the letters i + j(j+1)/2 mod k: "10" is one letter, not "1", "0"
+    images = [[(i + j * (j + 1) // 2) % k for j in range(k)] for i in range(k)]
+    x = G.aperiodicity_witness(k)
+    _reads_match(x, oracles.fixed_point(images, 0, _N))
+    assert x.prefix(k).codes == tuple(images[0])
+    if k == 11:
+        assert x.prefix(11).text == "0,1,3,6,10,4,10,6,3,1,0"
 
 
 def test_coded_morphic_matches_the_recoded_substitution():
