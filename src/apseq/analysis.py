@@ -25,6 +25,8 @@ import numpy as np
 from .core import Segment, Sequence, Word
 from .errors import HorizonExhausted, SpecError
 
+_POWER_BLOCK = 1 << 16      # detect_powers: samples lifted together, in consecutive periods
+
 # -- report types ----------------------------------------------------------
 
 
@@ -121,15 +123,20 @@ def _window_ids(arr: np.ndarray, n: int, k: int) -> np.ndarray:
     return ids if width == n else _factor_groups_slow(ids, width, n)
 
 
+def _double(ids: np.ndarray, step: int):
+    """One prefix-doubling step over window ids: the dense rank of each id,
+    and the id of the window that joins the windows at i and i + step,
+    which overlap or abut; rank * count + rank over the distinct ids keeps
+    the pairs' lexicographic order."""
+    uniq, rank = np.unique(ids, return_inverse=True)
+    return rank, rank[:-step] * uniq.size + rank[step:]
+
+
 def _factor_groups_slow(ids: np.ndarray, width: int, n: int) -> np.ndarray:
-    """Extend ids of the width-wide windows to length-n windows by prefix
-    doubling: a wider window is the pair of its first and last width-wide
-    windows, which overlap or abut, and rank * count + rank over the
-    distinct ids keeps the pairs' lexicographic order."""
+    """Extend ids of the width-wide windows to length-n ones by prefix doubling."""
     while width < n:
         step = min(width, n - width)
-        uniq, rank = np.unique(ids, return_inverse=True)
-        ids = rank[:-step] * uniq.size + rank[step:]
+        ids = _double(ids, step)[1]
         width += step
     return ids
 
@@ -314,74 +321,87 @@ def is_balanced(x: Sequence, n_max: int, horizon: int) -> BalanceReport:
     return BalanceReport(True)
 
 
-def _letter_masks(arr: np.ndarray, k: int):
-    masks = []
-    for a in range(k):
-        bits = np.packbits((arr == a).astype(np.uint8), bitorder="little")
-        masks.append(int.from_bytes(bits.tobytes(), "little"))
-    return masks
+def _ramps(n: np.ndarray) -> np.ndarray:
+    """0 .. n[0] - 1, 0 .. n[1] - 1, ... in one array."""
+    return np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
 
 
-def _run_starts(mask: int, run_len: int) -> int:
-    """Bit i set in the result iff bits i .. i+run_len-1 are all set."""
-    built = 1
-    t = mask
-    while built < run_len:
-        s = min(built, run_len - built)
-        t &= t >> s
-        built += s
-    return t
-
-
-def _bit_positions(mask: int, size: int) -> np.ndarray:
-    raw = mask.to_bytes((size + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:size]
-    return np.flatnonzero(bits)
+def _extension(levels: list, top: int, s, p, room, back: bool):
+    """Per sample, min(room, 2**(top + 1) - 1, L), where L is the longest
+    common extension of the positions s and s + p, read forward or back."""
+    ext = np.zeros_like(s)
+    for k in range(min(top, len(levels) - 1), -1, -1):
+        w = 1 << k
+        fits = ext + w <= room
+        at = np.where(fits, s - ext - w if back else s + ext, 0)
+        ext += w * (fits & (levels[k][at] == levels[k][np.where(fits, at + p, 0)]))
+    return ext
 
 
 def detect_powers(x: Sequence, horizon: int, kind: str,
                   max_period: int | None = None, limit: int | None = None) -> list:
     """All occurrences (position, |u|) of uu (square), uuu (cube), or
-    auaua (overlap) shapes inside the horizon prefix, smallest |u| first.
+    auaua (overlap) shapes inside the horizon prefix H, smallest |u| first,
+    then by position, the first ``limit`` only if one is given; the period
+    (|u|, or |u| + 1 for overlaps) is at most H/2, H/3 for cubes, and max_period.
 
-    |u| ranges up to horizon/2 (squares, overlaps) or horizon/3 (cubes)
-    unless capped by max_period.
+    For a period p, an occurrence at i is a stretch [i, i + need) of
+    positions j < H - p with x[j] = x[j + p], need = p (square), 2p (cube)
+    or p + 1 (overlap, |u| = p - 1); the maximal run [a, b) of them around
+    it holds the starts a .. b - need.  As need >= p and any p consecutive
+    positions hold a multiple of p, the run holds a sample s = 0, p, 2p, ..
+    (about H ln H over all p), and is kept at its one sample with back < p
+    for its exact extent [s - back, s + fwd), ends capped at 0 and H.  The
+    extensions read a rank pyramid made by prefix doubling, whose level k
+    is equal at two positions exactly when the length-2**k windows there
+    are, so the levels from the top down add each power of two that still
+    matches; the levels up to need drop the short runs first.  Blocks of
+    consecutive periods go in (p, s) order, so the starts come out sorted
+    and a limit stops after the block that reaches it.  Cost: O(H log^2 H
+    + output) time and about 4 H log2 H bytes for the pyramid (6.4 MB at
+    H = 10^5, about 0.9 GB at 10^7).
     """
     if kind not in ("square", "cube", "overlap"):
         raise SpecError("kind must be square, cube, or overlap")
     if horizon < 4:
         raise SpecError("horizon must be at least 4")
-    arr = x.prefix_array(horizon)
-    k = len(x.alphabet)
-    masks = _letter_masks(arr, k)
-    reps = {"square": 2, "cube": 3, "overlap": 2}[kind]
-    p_cap = horizon // reps
+    if limit is not None and limit < 0:
+        raise SpecError("limit must not be negative")
+    reps, extra = {"square": (1, 0), "cube": (2, 0), "overlap": (1, 1)}[kind]
+    p_cap = (horizon - extra) // (reps + 1)           # need + p <= horizon
     if max_period is not None:
         p_cap = min(p_cap, max_period)
-    out = []
-    for p in range(1, p_cap + 1):
-        width = horizon - p
-        eq = 0
-        for m in masks:
-            eq |= m & (m >> p)
-        eq &= (1 << width) - 1
-        if kind == "square":
-            need, ulen = p, p
-        elif kind == "cube":
-            need, ulen = 2 * p, p
-        else:  # auaua with |u| = p - 1, i.e. period p repeated for p+1 symbols
-            need, ulen = p + 1, p - 1
-            if need > width:
-                continue
-        if need > width:
-            continue
-        starts = _run_starts(eq, need)
-        if not starts:
-            continue
-        for i in _bit_positions(starts, width):
-            out.append((int(i), ulen))
-            if limit is not None and len(out) >= limit:
-                return out
+    if p_cap < 1 or limit == 0:
+        return []
+    arr = x.prefix_array(horizon)
+    levels, ids = [], arr                             # level k: windows of length 2**k
+    while 2 << len(levels) <= horizon:
+        rank, ids = _double(ids, 1 << len(levels))
+        levels.append(rank.astype(np.int32))
+    levels.append(ids)
+    samples = (horizon - 1) // np.arange(1, p_cap + 1)   # s = 0, p, .. below H - p
+    ends = np.cumsum(samples)
+    out, lo = [], 0
+    while lo < p_cap:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - samples[lo] + _POWER_BLOCK, "right")))
+        p = np.repeat(np.arange(lo + 1, hi + 1), samples[lo:hi])
+        s = _ramps(samples[lo:hi]) * p
+        hit = arr[s] == arr[s + p]
+        s, p = s[hit], p[hit]
+        back = _extension(levels, hi.bit_length() - 1, s, p, s, True)
+        first = back < p
+        s, p, back = s[first], p[first], back[first]
+        need = reps * p + extra
+        fwd = _extension(levels, (reps * hi + extra).bit_length() - 1, s, p, horizon - p - s, False)
+        long = back + fwd >= need
+        s, p, back, need = s[long], p[long], back[long], need[long]
+        fwd = _extension(levels, len(levels), s, p, horizon - p - s, False)
+        count = back + fwd - need + 1
+        out += zip((np.repeat(s - back, count) + _ramps(count)).tolist(),
+                   np.repeat(p - extra, count).tolist())
+        if limit is not None and len(out) >= limit:
+            return out[:limit]
+        lo = hi
     return out
 
 

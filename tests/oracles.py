@@ -90,15 +90,23 @@ def run_length_encode(values):
     return out
 
 
-def squares(codes, max_period):
-    """All (position, |u|) with codes[i:i+2u] = u-periodic, direct check."""
+def powers(codes, kind, max_period=None):
+    """All (position, |u|) of uu (square), uuu (cube) or auaua (overlap,
+    period |u| + 1) with period at most max_period, by period, then by
+    position: direct check that codes[i:i + length] has that period."""
     out = []
     m = len(codes)
-    for p in range(1, max_period + 1):
-        for i in range(m - 2 * p + 1):
-            if codes[i:i + p] == codes[i + p:i + 2 * p]:
-                out.append((i, p))
+    for p in range(1, (m if max_period is None else max_period) + 1):
+        length = {"square": 2 * p, "cube": 3 * p, "overlap": 2 * p + 1}[kind]
+        for i in range(m - length + 1):
+            if codes[i:i + length - p] == codes[i + p:i + length]:
+                out.append((i, p - 1 if kind == "overlap" else p))
     return out
+
+
+def squares(codes, max_period):
+    """All (position, |u|) with codes[i:i+2u] = u-periodic, direct check."""
+    return powers(codes, "square", max_period)
 
 
 def toeplitz_fill(pattern_slots, length, rounds=64):

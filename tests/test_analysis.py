@@ -231,6 +231,75 @@ def test_powers_shapes():
         A.detect_powers(x, 100, "banana")
 
 
+KINDS = ("square", "cube", "overlap")
+
+
+@st.composite
+def _power_cases(draw):
+    """A word over 2-4 letters of length 4-300 (a repeated block with a few
+    letters changed, so that long runs of one period occur; a block as long
+    as the word makes it random), a kind, a period cap and a limit."""
+    k = draw(st.integers(2, 4))
+    size = draw(st.integers(4, 300))
+    block = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=size))
+    codes = (block * size)[:size]
+    for i, c in draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, k - 1)),
+                              max_size=6)):
+        codes[i] = c
+    return (k, codes, draw(st.sampled_from(KINDS)),
+            draw(st.none() | st.integers(0, size)), draw(st.none() | st.integers(0, 60)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_power_cases())
+def test_powers_match_the_oracle(case):
+    k, codes, kind, max_period, limit = case
+    x = G.periodic(Word(Alphabet.of(*range(k)), tuple(codes)))
+    expected = oracles.powers(codes, kind, max_period)
+    assert A.detect_powers(x, len(codes), kind, max_period, limit) == expected[:limit]
+
+
+@pytest.mark.parametrize("block", ["0", "001"])
+def test_powers_of_long_runs(block):
+    # every multiple of the block's period is a period of the whole
+    # horizon, so the occurrences grow with the square of the horizon
+    x = G.periodic(block)
+    codes = x.prefix_array(240).tolist()
+    for kind in KINDS:
+        assert A.detect_powers(x, 240, kind) == oracles.powers(codes, kind)
+    if block == "0":
+        assert len(A.detect_powers(x, 240, "square")) == 120 ** 2
+
+
+def test_powers_across_many_blocks(monkeypatch, tm, fib, kolak):
+    # 16 samples to a block: a limit falls inside, at the end of and past
+    # the last block
+    monkeypatch.setattr(A, "_POWER_BLOCK", 16)
+    for x in (G.periodic("0"), G.periodic("0110"), tm, fib, kolak):
+        codes = x.prefix_array(200).tolist()
+        for kind in KINDS:
+            expected = oracles.powers(codes, kind)
+            for limit in (None, 1, 17, 100, len(expected), len(expected) + 1):
+                assert A.detect_powers(x, 200, kind, limit=limit) == expected[:limit]
+
+
+def test_powers_limit_reached_in_a_later_block():
+    # at this horizon the samples of period 1 fill the first block alone
+    h = 5 * 10**4
+    occs = A.detect_powers(G.periodic("0"), h, "square", limit=h + 9)
+    assert occs == [(i, 1) for i in range(h - 1)] + [(i, 2) for i in range(10)]
+    occs = A.detect_powers(G.periodic("01"), h, "square", limit=h)
+    assert occs == [(i, 2) for i in range(h - 3)] + [(i, 4) for i in range(3)]
+
+
+def test_powers_limit_zero_and_negative():
+    x = G.periodic("0")
+    assert A.detect_powers(x, 20, "square", limit=0) == []
+    assert A.detect_powers(x, 20, "square", limit=1) == [(0, 1)]
+    with pytest.raises(SpecError):
+        A.detect_powers(x, 20, "square", limit=-1)
+
+
 # -- shift-mismatch measures -----------------------------------------------------------
 
 

@@ -193,6 +193,14 @@ def test_analyze_cube_rows_empty():
     assert code == 0 and out.strip().splitlines() == ["metric,param,value,kind,horizon"]
 
 
+def test_analyze_powers_limit_zero_and_negative():
+    argv = ["analyze", "--spec", "periodic period=0", "--metric", "powers", "--horizon", "20"]
+    code, out, _ = run(argv + ["--limit", "0"])
+    assert code == 0 and out.strip().splitlines() == ["metric,param,value,kind,horizon"]
+    code, out, err = run(argv + ["--limit", "-1"])
+    assert code == 2 and out == "" and "limit" in err
+
+
 def test_analyze_am():
     code, out, _ = run(["analyze", "--spec", "thue_morse", "--metric", "am",
                         "--shifts", "64", "--horizon", "65536"])
