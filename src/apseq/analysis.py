@@ -16,7 +16,9 @@ consecutive starts, from which every coverage value follows.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,6 +28,14 @@ from .core import Segment, Sequence, Word
 from .errors import HorizonExhausted, SpecError
 
 _POWER_BLOCK = 1 << 16      # detect_powers: samples lifted together, in consecutive periods
+
+# glibc maps each block of 128 KB or more afresh, faulting in every page, until its
+# dynamic threshold happens to pass the block's size; the factor kernels' horizon-sized
+# temporaries thus cost from nothing to a quarter of an analysis pass, by process.
+_libc = ctypes.CDLL(None) if os.name == "posix" else None
+if hasattr(_libc, "mallopt"):   # blocks under 32 MB stay on the heap, 64 MB of it once freed
+    _libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    _libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 # -- report types ----------------------------------------------------------
 
