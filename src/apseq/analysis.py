@@ -121,15 +121,22 @@ class ProuhetReport:
 
 def _window_ids(arr: np.ndarray, n: int, k: int) -> np.ndarray:
     """int64 id of every length-n window of arr over k letters: base-k
-    codes up to the widest window whose code stays below 2**62."""
+    codes up to the widest window whose code stays below 2**62, composed
+    from power-of-two widths as ids_{a+b}[i] = ids_a[i] * k**b + ids_b[i + a]."""
     width = 1
     while width < n and k ** (width + 1) <= 2**62:
         width += 1
     m = arr.size - width + 1
-    ids = np.zeros(m, dtype=np.int64)
-    for j in range(width):
-        ids *= k
-        ids += arr[j:j + m]
+    ids, have = 0, 0
+    part, size = arr.astype(np.int64), 1  # ids of the length-size windows
+    while True:
+        if width & size:
+            ids = ids * k**size + part[have:have + m]
+            have += size
+        if 2 * size > width:
+            break
+        part = part[:-size] * k**size + part[size:]
+        size *= 2
     return ids if width == n else _factor_groups_slow(ids, width, n)
 
 
@@ -198,7 +205,8 @@ def subword_complexity(x: Sequence, n: int, horizon: int) -> int:
     """
     if horizon < n:
         raise SpecError("horizon must be at least n")
-    return _factor_groups(x, n, horizon)[0].size
+    ids = np.sort(_window_ids(x.prefix_array(horizon), n, len(x.alphabet)))
+    return 1 + int(np.count_nonzero(ids[1:] != ids[:-1]))
 
 
 def empirical_regulator(x: Sequence, n: int, horizon: int) -> RegulatorReport:

@@ -695,12 +695,17 @@ class Scheme:
        consecutive blocks form C_n words and it realizes every C_n word at
        some junction; without pairs, it contains every B_n word;
     4. the middle junction of every C_{n+1} word lies in C_n.
+
+    ``level_length`` (n -> l_n) and ``level_codes`` (n -> the B_n words as
+    code arrays, in ``level(n)[1]`` order) are optional shortcuts that let
+    bounds and :func:`scheme_generate` skip building ``Word`` objects.
     """
 
     alphabet: Alphabet
     level: "callable"
     name: str = "scheme"
     level_length: "callable | None" = None  # n -> l_n without building words
+    level_codes: "callable | None" = None   # n -> B_n as code arrays
 
     def length(self, n: int) -> int:
         return self.level_length(n) if self.level_length else self.level(n)[0]
@@ -727,12 +732,12 @@ def substitution_scheme(kind: str, alphabet: Alphabet, base: dict, expand: dict,
         raise SpecError(f"junction pairs {pairs} are not all two scheme letters")
 
     @lru_cache(maxsize=None)
-    def words(n: int) -> dict:
+    def codes(n: int) -> tuple:
         if n == 0:
-            return {a: _as_word(base[a], alphabet) for a in letters}
-        prev = words(n - 1)
-        return {a: Word._of(alphabet, tuple(itertools.chain.from_iterable(
-            prev[b].codes for b in expand[a]))) for a in letters}
+            return tuple(_code_array(_as_word(base[a], alphabet).codes, alphabet) for a in letters)
+        prev = dict(zip(letters, codes(n - 1)))
+        empty = prev[letters[0]][:0]  # an empty expansion still gives an array of the dtype
+        return tuple(np.concatenate([empty, *(prev[b] for b in expand[a])]) for a in letters)
 
     base_lens = {len(_as_word(base[a], alphabet)) for a in letters}
     expand_lens = {len(expand[a]) for a in letters}
@@ -742,11 +747,11 @@ def substitution_scheme(kind: str, alphabet: Alphabet, base: dict, expand: dict,
         length_fn = lambda n: l0 * k**n
 
     def level(n):
-        ws = words(n)
+        ws = {a: Word._of(alphabet, tuple(c.tolist())) for a, c in zip(letters, codes(n))}
         data = len(ws[letters[0]]), tuple(ws[a] for a in letters)
         return data + (_PairWords(ws, pairs),) if kind == "gap" else data
 
-    return Scheme(alphabet, level, name, length_fn)
+    return Scheme(alphabet, level, name, length_fn, codes)
 
 
 class _PairWords:
@@ -913,20 +918,26 @@ def scheme_generate(scheme, mode: str = "AP", policy="lex", seed=None,
         raise SpecError("the random policy needs a seed")
     rng = _random.Random(seed)
 
-    def candidates(level_n: int, prev: Word | None):
-        data = scheme.level(level_n)
-        words = sorted(data[1], key=lambda w: w.codes)
-        if prev is not None:
-            words = [w for w in words if w.codes[:len(prev)] == prev.codes]
-        return words
+    def level_arrays(n: int):
+        if scheme.level_codes:
+            return scheme.level_codes(n)
+        return [_code_array(w.codes, scheme.alphabet) for w in scheme.level(n)[1]]
 
-    def viable(level_n: int, w: Word, depth: int) -> bool:
+    def candidates(level_n: int, prev: np.ndarray | None):
+        """The B_n words that extend prev, ordered like their code tuples
+        (big-endian bytes compare as the codes do)."""
+        arrs = level_arrays(level_n)
+        if prev is not None:
+            arrs = [a for a in arrs if np.array_equal(a[:prev.size], prev)]
+        return sorted(arrs, key=lambda a: a.astype(a.dtype.newbyteorder(">"), copy=False).tobytes())
+
+    def viable(level_n: int, w: np.ndarray, depth: int) -> bool:
         if depth == 0:
             return True
         return any(viable(level_n + 1, w2, depth - 1)
                    for w2 in candidates(level_n + 1, w))
 
-    def choose(level_n: int, prev: Word | None) -> Word:
+    def choose(level_n: int, prev: np.ndarray | None) -> np.ndarray:
         cands = [w for w in candidates(level_n, prev) if viable(level_n, w, _LOOKAHEAD)]
         if not cands:
             raise GenerationStuck(f"no viable continuation at level {level_n}", level=level_n)
@@ -934,7 +945,8 @@ def scheme_generate(scheme, mode: str = "AP", policy="lex", seed=None,
             return cands[0]
         if policy == "random":
             return rng.choice(cands)
-        return policy(level_n, cands)
+        words = [Word._of(scheme.alphabet, tuple(a.tolist())) for a in cands]
+        return _code_array(policy(level_n, words).codes, scheme.alphabet)
 
     jlen = len(junk_word)
 
@@ -942,11 +954,11 @@ def scheme_generate(scheme, mode: str = "AP", policy="lex", seed=None,
         yield junk_word.codes
         word = None
         for level in itertools.count():
-            done = len(word) if word is not None else 0
+            done = word.size if word is not None else 0
             word = choose(level, word)
-            if len(word) == done:
+            if word.size == done:
                 raise GenerationStuck(f"level {level} adds no symbols to the chain", level=level)
-            yield from (word.codes[i:i + _CHUNK] for i in range(done, len(word), _CHUNK))
+            yield word[done:]
 
     bound = None
     if is_gap:

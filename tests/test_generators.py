@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -313,6 +314,13 @@ def test_scheme_generate_policies():
     cb = G.scheme_generate(sch, policy=lambda level, cands: cands[-1])
     assert cb.prefix(5).text == "11001"
     assert G.scheme_validate(sch, 3) == []
+    # three whole levels of each chain
+    least = ("00110001101100111001001100011000110110011100100110110011100100"
+             "110001101100111001110010011000110110010011000110110011100100110")
+    assert lex.prefix(125).text == least
+    assert rnd.prefix(125).text == least
+    assert cb.prefix(125).text == ("11001110010011000110110011100111001001100011011001001100011011"
+                                   "001110010011000110001101100111001001101100111001001100011011001")
 
 
 def test_scheme_generate_stuck():
@@ -338,11 +346,58 @@ def test_pair_scheme_generation_builds_no_pair_word(monkeypatch):
     monkeypatch.setattr(Word, "__add__", counting_add)
     sch = G.pair_alternation_scheme()
     x = G.scheme_generate(sch)
+    # the chain runs on code arrays: reading the output builds no Word at all
+    made, of, check = [], Word._of, Word.__post_init__
+    monkeypatch.setattr(Word, "_of", classmethod(lambda cls, a, c: made.append(len(c)) or of(a, c)))
+    monkeypatch.setattr(Word, "__post_init__", lambda w: made.append(len(w.codes)) or check(w))
     assert x.codes(1_500_000)[:12] == [0, 1, 1, 0] * 3
     assert built == []
+    assert made == []
     # validation reads the pair words, and still finds no violation
     assert G.scheme_validate(sch, 4) == []
     assert built and {len(c) for c in sch.level(3)[2]} == {2 * sch.length(3)}
+
+
+def test_scheme_outputs_match_the_substitution_oracle():
+    # each chain limit is a substitution fixed point; the pair scheme's is
+    # coded letter by letter through its level-0 words 01 and 10
+    letters = oracles.fixed_point([[0, 1, 0], [1, 0, 1]], 0, 708_588)
+    pair = [c for a in letters for c in ((0, 1), (1, 0))[a]]
+    assert G.scheme_generate(G.pair_alternation_scheme()).prefix_array(1_417_176).tolist() == pair
+    ape = oracles.fixed_point([[0, 0, 1, 0], [0, 1, 0, 0]], 0, 200_000)
+    assert G.scheme_generate(G.aperiodic_scheme()).prefix_array(200_000).tolist() == ape
+    gap = G.scheme_generate(G.aperiodic_scheme(), mode="GAP", junk="0110")
+    assert gap.prefix_array(200_004).tolist() == [0, 1, 1, 0] + ape
+    dbl = oracles.fixed_point([[0, 1], [1, 0]], 0, 200_000)
+    assert G.scheme_generate(G.doubling_scheme()).prefix_array(200_000).tolist() == dbl
+
+
+def test_scheme_generate_lex_follows_tuple_order():
+    # candidates differ in length and share prefixes, and codes 256 and up
+    # take two bytes: the lex policy must still take the least code tuple
+    al = Alphabet(tuple(f"s{i}" for i in range(300)))
+    levels = [[(256,), (1,)],
+              [(1, 0, 1), (256, 0), (1, 256), (1, 0), (2, 0)],
+              [(1, 0, 1, 5), (1, 0, 256, 0), (1, 0, 1), (1, 256, 0)],
+              [(1, 0, 1, 7, 7), (1, 0, 1, 5, 0), (1, 0, 256, 0, 0)]]
+
+    def level(n):
+        return n + 1, tuple(Word(al, c) for c in (levels[n] if n < len(levels) else ()))
+
+    x = G.scheme_generate(G.Scheme(al, level))
+    assert x.prefix_array(3).tolist() == [1, 0, 1]
+    with pytest.raises(GenerationStuck):  # level 4 is empty, so level 3 has no viable word
+        x.prefix_array(4)
+
+
+def test_pair_window_generation_memory():
+    tracemalloc.start()
+    try:
+        G.scheme_generate(G.pair_alternation_scheme()).prefix_array(1_417_176)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6  # level words as tuples peaked at 266 MB
 
 
 def test_gap_generation_window_constraints(branching_seq, scheme_seq):
