@@ -22,7 +22,7 @@ from . import analysis as A
 from . import generators as G
 from . import omega as O
 from . import transforms as T
-from .core import Alphabet, Sequence, Word, agreement_length, read_records
+from .core import Alphabet, Sequence, agreement_length, read_records
 from .errors import (CostRefusal, GenerationStuck, HorizonExhausted,
                      MachineFault, MachineParseError, NoCertifiedBound,
                      PrecisionExhausted, SpecError, UnsupportedFeature)
@@ -231,10 +231,6 @@ def _fmt(value) -> str:
 CSV_HEADER = "metric,param,value,kind,horizon"
 
 
-def _word_arg(x: Sequence, text: str) -> Word:
-    return x.alphabet.word(text)
-
-
 # -- commands ----------------------------------------------------------------------
 
 
@@ -327,8 +323,8 @@ def _analyze_rows(args, x: Sequence):
     elif metric == "powers":
         occs = A.detect_powers(x, h, args.kind, max_period=args.max_period,
                                limit=args.limit)
-        for pos, ulen in occs:
-            rows.append((f"powers-{args.kind}", pos, ulen, "occurrence", h))
+        # made row by row as printed; detect_powers raises before the first row
+        return ((f"powers-{args.kind}", pos, ulen, "occurrence", h) for pos, ulen in occs)
     elif metric == "am":
         rep = A.am_estimate(x, args.shifts, h)
         for s in sorted(rep.per_shift):
@@ -337,7 +333,7 @@ def _analyze_rows(args, x: Sequence):
     elif metric == "frequency":
         if not args.block:
             raise SpecError("the frequency metric needs --block")
-        u = _word_arg(x, args.block)
+        u = x.alphabet.word(args.block)
         rep = A.frequency(x, u, args.i, args.j if args.j is not None else h - 1)
         rows.append(("frequency", args.block, rep.density, "exact-count", h))
         for t, d in A.cesaro_estimate(x, u, h):

@@ -17,7 +17,6 @@ import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, ceil
 
 import numpy as np
 
@@ -33,20 +32,29 @@ BINARY = Alphabet.binary()
 _DOUBLING_SHIFT = 3
 
 
-def word_from_text(text: str, alphabet: Alphabet | None = None) -> Word:
-    """Build a word from a string of single-character symbol names."""
+def word_from_text(text: str | Word, alphabet: Alphabet | None = None) -> Word:
+    """Build a word from a string of single-character symbol names (a Word passes unchanged)."""
+    if isinstance(text, Word):
+        return text
     if alphabet is None:
         alphabet = Alphabet(tuple(sorted(set(text))))
     return alphabet.word(text)
 
 
-def _as_word(w, alphabet=None) -> Word:
-    return w if isinstance(w, Word) else word_from_text(w, alphabet)
-
-
 def _code_array(codes, alphabet: Alphabet) -> np.ndarray:
     """Codes as an array of the narrowest unsigned dtype for the alphabet."""
     return np.array(codes, dtype=np.min_scalar_type(len(alphabet) - 1))
+
+
+def _level_bound(length, window, provenance: str) -> Bound:
+    """The bound n -> window(m, n), with m the least level whose length(m) >= n."""
+    def fn(n):
+        m = 0
+        while length(m) < n:
+            m += 1
+        return window(m, n)
+
+    return Bound(fn, provenance)
 
 
 # -- periodic families ----------------------------------------------------
@@ -58,7 +66,7 @@ def periodic(period) -> Sequence:
     Certified bound: n + |period| - 1; a window of that length covers a
     full residue cycle, so it contains every length-n factor.
     """
-    w = _as_word(period)
+    w = word_from_text(period)
     p = len(w)
     if p < 1:
         raise SpecError("period must be nonempty")
@@ -78,8 +86,8 @@ def eventually_periodic(pre, period) -> Sequence:
     """
     alphabet = Alphabet(tuple(sorted(set(str(pre)) | set(str(period))))) \
         if isinstance(pre, str) and isinstance(period, str) else None
-    u = _as_word(pre, alphabet)
-    w = _as_word(period, alphabet if alphabet is not None else u.alphabet)
+    u = word_from_text(pre, alphabet)
+    w = word_from_text(period, alphabet if alphabet is not None else u.alphabet)
     if u.alphabet != w.alphabet:
         raise SpecError("preperiod and period must share an alphabet")
     p = len(w)
@@ -99,7 +107,7 @@ def constant(symbol: str) -> Sequence:
 
 def with_prefix(prefix_word, x: Sequence) -> Sequence:
     """The concatenation (finite word) + (sequence); no bound is asserted."""
-    u = _as_word(prefix_word, x.alphabet)
+    u = word_from_text(prefix_word, x.alphabet)
     if u.alphabet != x.alphabet:
         raise SpecError("prefix word must be over the sequence alphabet")
     return Sequence.from_chunks(
@@ -198,14 +206,6 @@ class RealParam:
         self._best = (lo, hi)
         return lo, hi
 
-    def current(self):
-        """The narrowest enclosure seen so far (a first cheap attempt)."""
-        if self.exact is not None:
-            return self.exact, self.exact
-        if self._best is None:
-            return self.enclosure(Fraction(1, 4))
-        return self._best
-
     def __str__(self):
         return self.name
 
@@ -231,31 +231,6 @@ def inv_golden_sq() -> RealParam:
 _REFINE_BUDGET = 256
 
 
-def _floor_affine(alpha: RealParam, rho: RealParam, n: int, upper: bool) -> int:
-    """floor (or ceil when upper) of alpha*n + rho, refining enclosures
-    until the value is unambiguous."""
-    if alpha.exact is not None and rho.exact is not None:
-        v = alpha.exact * n + rho.exact
-        return ceil(v) if upper else floor(v)
-    scale = max(n, 1)
-    alo, ahi = alpha.current()
-    rlo, rhi = rho.current()
-    eps = None
-    for _ in range(_REFINE_BUDGET):
-        if eps is not None:
-            alo, ahi = alpha.enclosure(eps / (2 * scale))
-            rlo, rhi = rho.enclosure(eps / 2)
-        lo = alo * n + rlo
-        hi = ahi * n + rhi
-        f_lo, f_hi = (ceil(lo), ceil(hi)) if upper else (floor(lo), floor(hi))
-        if f_lo == f_hi:
-            return f_lo
-        eps = (hi - lo) / 4 if eps is None else eps / 2
-    raise PrecisionExhausted(
-        f"could not separate {'ceil' if upper else 'floor'}({alpha}*{n} + {rho}) "
-        f"after {_REFINE_BUDGET} refinements")
-
-
 def _affine_floors(alpha: Fraction, rho: Fraction, n: np.ndarray, upper: bool) -> np.ndarray:
     """floor (or ceil when upper) of alpha*n + rho for every n of an int64
     array, in exact integer arithmetic: int64 when the products fit, Python
@@ -277,9 +252,13 @@ def _affine_floors(alpha: Fraction, rho: Fraction, n: np.ndarray, upper: bool) -
 def mechanical(alpha, rho, variant: str = "lower") -> Sequence:
     """The mechanical sequence with slope alpha and intercept rho:
     difference of consecutive floors (lower) or ceilings (upper) of
-    alpha*n + rho.  Parameters are exact rationals or enclosure oracles;
-    exact integer hits are only detectable for rationals, where the plain
-    floor/ceiling already implements the integer branch.
+    alpha*n + rho.  Parameters are exact rationals or enclosure oracles.
+    A block of n is computed at both ends of enclosures of width
+    2**-(bitlen(last n) + 20); positions whose ends differ are computed again
+    at half the width, at most _REFINE_BUDGET = 256 more times.  Rationals
+    give equal ends and one pass; an integer hit under an oracle stays open,
+    and reading the first open position raises PrecisionExhausted (or the
+    oracle's error).
     """
     alpha, rho = RealParam.of(alpha), RealParam.of(rho)
     if variant not in ("lower", "upper"):
@@ -293,21 +272,24 @@ def mechanical(alpha, rho, variant: str = "lower") -> Sequence:
     def floors(n: np.ndarray):
         """The exact values at the block n, and None; or, when a position
         cannot be resolved, the values before it and the error."""
-        if alpha.exact is not None and rho.exact is not None:
-            return _affine_floors(alpha.exact, rho.exact, n, upper), None
-        try:  # one enclosure pair narrow enough for the whole block
-            eps = Fraction(1, 1 << (int(n[-1]).bit_length() + 20))
-            (alo, ahi), (rlo, rhi) = alpha.enclosure(eps), rho.enclosure(eps)
-            f = _affine_floors(alo, rlo, n, upper)
-            unsure = np.flatnonzero(f != _affine_floors(ahi, rhi, n, upper))
-        except SpecError:  # an oracle that cannot give that width: refine each n
-            f, unsure = np.zeros_like(n), np.arange(n.size)
-        for j in unsure.tolist():
+        f, todo = np.empty_like(n), np.arange(n.size)  # todo: the positions not yet resolved
+        eps = Fraction(1, 1 << (int(n[-1]).bit_length() + 20))
+        for _ in range(_REFINE_BUDGET + 1):
             try:
-                f[j] = _floor_affine(alpha, rho, int(n[j]), upper)
+                (alo, ahi), (rlo, rhi) = alpha.enclosure(eps), rho.enclosure(eps)
             except ApseqError as e:
-                return f[:j], e
-        return f, None
+                return f[:todo[0]], e
+            at = slice(None) if todo.size == n.size else todo  # no gather while all are open
+            lo = _affine_floors(alo, rlo, n[at], upper)
+            hi = lo if (alo, rlo) == (ahi, rhi) else _affine_floors(ahi, rhi, n[at], upper)
+            f[at] = lo
+            todo = todo[lo != hi]
+            if not todo.size:
+                return f, None
+            eps /= 2
+        return f[:todo[0]], PrecisionExhausted(
+            f"could not separate {'ceil' if upper else 'floor'}({alpha}*{n[todo[0]]} + {rho}) "
+            f"after {_REFINE_BUDGET} refinements")
 
     def chunks():
         last = np.empty(0, dtype=np.int64)  # the value at the previous block's last n
@@ -351,7 +333,7 @@ class Morphism:
 
     @staticmethod
     def from_rules(source: Alphabet, target: Alphabet, rules: dict, erasing_ok=False) -> "Morphism":
-        images = {a: _as_word(w, target) for a, w in rules.items()}
+        images = {a: word_from_text(w, target) for a, w in rules.items()}
         return Morphism(source, target, images, erasing_ok)
 
     @staticmethod
@@ -608,15 +590,14 @@ def block_product_seq(blocks, *, assert_both_letters: bool = False,
     if callable(blocks):
         block_at = blocks
     else:
-        words = [(_as_word(b, BINARY) if not isinstance(b, Word) else b) for b in blocks]
+        words = [word_from_text(b, BINARY) for b in blocks]
         if not words:
             raise SpecError("need at least one block")
         block_at = lambda k: words[min(k, len(words) - 1)]
 
     @lru_cache(maxsize=None)
     def checked_block(k: int) -> Word:
-        w = block_at(k)
-        w = w if isinstance(w, Word) else _as_word(w, BINARY)
+        w = word_from_text(block_at(k), BINARY)
         if len(w.alphabet) != 2:
             raise SpecError("blocks must be binary")
         if len(w) == 0:
@@ -650,15 +631,8 @@ def block_product_seq(blocks, *, assert_both_letters: bool = False,
             done, w = w.size, np.where(bits == 0, w, 1 - w).ravel()
             yield w[done:]
 
-    bound = None
-    if assert_both_letters:
-        def fn(n):
-            m = 0
-            while level_len(m) < n:
-                m += 1
-            return 4 * level_len(m + 1) + 2 * level_len(m) + n
-
-        bound = Bound(fn, "block product window (4*l_{m+1} + 2*l_m + n)")
+    bound = _level_bound(level_len, lambda m, n: 4 * level_len(m + 1) + 2 * level_len(m) + n,
+                         "block product window (4*l_{m+1} + 2*l_m + n)") if assert_both_letters else None
 
     return Sequence.from_chunks(BINARY, chunks(), bound=bound,
                                 provenance=Provenance(family, params or {}))
@@ -734,12 +708,12 @@ def substitution_scheme(kind: str, alphabet: Alphabet, base: dict, expand: dict,
     @lru_cache(maxsize=None)
     def codes(n: int) -> tuple:
         if n == 0:
-            return tuple(_code_array(_as_word(base[a], alphabet).codes, alphabet) for a in letters)
+            return tuple(_code_array(word_from_text(base[a], alphabet).codes, alphabet) for a in letters)
         prev = dict(zip(letters, codes(n - 1)))
         empty = prev[letters[0]][:0]  # an empty expansion still gives an array of the dtype
         return tuple(np.concatenate([empty, *(prev[b] for b in expand[a])]) for a in letters)
 
-    base_lens = {len(_as_word(base[a], alphabet)) for a in letters}
+    base_lens = {len(word_from_text(base[a], alphabet)) for a in letters}
     expand_lens = {len(expand[a]) for a in letters}
     length_fn = None
     if len(base_lens) == 1 and len(expand_lens) == 1:
@@ -793,9 +767,9 @@ def aperiodic_scheme() -> Scheme:
 
 def choice_scheme() -> Scheme:
     """Ratio-5 pair scheme with all four junction pairs: both letters
-    expand to words starting with themselves (UUVVU and VVUUV), so every
-    level offers a genuine continuation choice and the scheme generates a
-    continuum of sequences."""
+    expand to words starting with themselves (UUVVU and VVUUV).  So every
+    level word w_n(a) begins with w_{n-1}(a), only level 0 offers a choice
+    (U or V), and the scheme generates two sequences."""
     return substitution_scheme(
         "gap", BINARY, {"0": "0", "1": "1"}, {"0": "00110", "1": "11001"},
         pairs=["00", "01", "10", "11"], name="choice")
@@ -910,7 +884,7 @@ def scheme_generate(scheme, mode: str = "AP", policy="lex", seed=None,
         raise SpecError("mode must be 'AP' or 'GAP'")
     if mode == "GAP" and not is_gap:
         raise SpecError("GAP generation needs a pair scheme")
-    junk_word = _as_word(junk, scheme.alphabet) if junk is not None else Word(scheme.alphabet, ())
+    junk_word = word_from_text(junk, scheme.alphabet) if junk is not None else Word(scheme.alphabet, ())
     if mode == "AP" and len(junk_word):
         raise SpecError("junk prefix only makes sense in GAP mode")
 
@@ -960,15 +934,8 @@ def scheme_generate(scheme, mode: str = "AP", policy="lex", seed=None,
                 raise GenerationStuck(f"level {level} adds no symbols to the chain", level=level)
             yield word[done:]
 
-    bound = None
-    if is_gap:
-        def fn(n):
-            m = 0
-            while scheme.length(m) < n:
-                m += 1
-            return jlen + 2 * scheme.length(m + 1)
-
-        bound = Bound(fn, "pair-scheme window (junk + 2 * next level length)")
+    bound = _level_bound(scheme.length, lambda m, n: jlen + 2 * scheme.length(m + 1),
+                         "pair-scheme window (junk + 2 * next level length)") if is_gap else None
 
     prov = Provenance("scheme", {"name": getattr(scheme, "name", "?"), "mode": mode,
                                  "policy": str(policy), "junk": junk_word.text})
@@ -1193,8 +1160,8 @@ def progression_rewrite(base: Sequence, levels) -> Sequence:
             beyond = np.flatnonzero(src >= have)
             cut = int(beyond[0]) if beyond.size else src.size
             yield base.prefix_array(have)[src[:cut]]
-            for j in src[cut:].tolist():  # past the base's cap: its own read raises
-                yield [base.code_at(j)]
+            if beyond.size:  # past the base's cap: its own read raises
+                base.code_at(int(src[cut]))
 
     bound = None
     fam = base.provenance.family
@@ -1202,13 +1169,8 @@ def progression_rewrite(base: Sequence, levels) -> Sequence:
         plen = base.provenance.params.get("period_len", 0)
         prelen = base.provenance.params.get("pre_len", 0)
         if plen >= 1 and lv(0) % plen == 0 and prelen <= lv(0):
-            def fn(n):
-                k = 0
-                while lv(k) < n:
-                    k += 1
-                return 2 * lv(k + 1)
-
-            bound = Bound(fn, "progression rewrite window (phase-aligned base)")
+            bound = _level_bound(lv, lambda k, n: 2 * lv(k + 1),
+                                 "progression rewrite window (phase-aligned base)")
 
     prov = Provenance("progression_rewrite",
                       {"base": str(base.provenance), "n0": lv(0), "n1": lv(1)})

@@ -129,18 +129,12 @@ def bound_formulas(g, m: int, linear_coefficient=None) -> dict:
     """
     if m < 1:
         raise SpecError("need at least one state")
-    fn = g.fn if isinstance(g, Bound) else g
-
-    def g_checked(n):
-        v = int(fn(n))
-        if v < n:
-            raise SpecError(f"bound violates g(n) >= n at n={n}")
-        return v
+    g = g if isinstance(g, Bound) else Bound(g, "given window g")
 
     def h(n):
         t = n
         for _ in range(m):
-            t = g_checked(t) + 1
+            t = g(t) + 1
         return t - 1
 
     out = {
@@ -149,7 +143,7 @@ def bound_formulas(g, m: int, linear_coefficient=None) -> dict:
     }
     total, t = 0, 1
     for _ in range(m):
-        t = g_checked(t)
+        t = g(t)
         total += t
     out["prefix"] = total
     if linear_coefficient is not None:

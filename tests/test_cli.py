@@ -1,8 +1,10 @@
 import contextlib
+import hashlib
 import importlib.util
 import io
 import os
 import signal
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -191,6 +193,37 @@ def test_analyze_cube_rows_empty():
     code, out, _ = run(["analyze", "--spec", "thue_morse", "--metric", "powers",
                         "--kind", "cube", "--horizon", "20000"])
     assert code == 0 and out.strip().splitlines() == ["metric,param,value,kind,horizon"]
+
+
+class _HashSink:
+    """A stdout that keeps only a digest of what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_analyze_powers_rows_are_not_held_twice():
+    # every square in 600 zeros: 90,000 rows; holding them as 5-tuples next
+    # to detect_powers' list peaked at 20.4 MB, making them as printed at 8.5 MB
+    sink = _HashSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["analyze", "--spec", "periodic period=0", "--metric", "powers",
+                         "--horizon", "600"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.digest.hexdigest().startswith("adaad67cefeca91f")
+    assert peak < 14e6
 
 
 def test_analyze_powers_limit_zero_and_negative():

@@ -1,9 +1,12 @@
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from apseq import analysis as A
@@ -310,7 +313,7 @@ def test_scheme_generate_policies():
     rnd2 = G.scheme_generate(sch, policy="random", seed=42)
     assert rnd.prefix(500).codes == rnd2.prefix(500).codes  # seeded determinism
     assert lex.prefix(5).text == "00110"
-    # every level of the choice scheme offers both continuations
+    # only level 0 of the choice scheme offers a choice; the callback takes the other one
     cb = G.scheme_generate(sch, policy=lambda level, cands: cands[-1])
     assert cb.prefix(5).text == "11001"
     assert G.scheme_validate(sch, 3) == []
@@ -321,6 +324,18 @@ def test_scheme_generate_policies():
     assert rnd.prefix(125).text == least
     assert cb.prefix(125).text == ("11001110010011000110110011100111001001100011011001001100011011"
                                    "001110010011000110001101100111001001101100111001001100011011001")
+
+
+def test_choice_scheme_offers_a_choice_at_level_0_only():
+    # w_n(a) begins with w_{n-1}(a), so the chain is forced after level 0
+    seen = []
+
+    def log(level, cands):
+        seen.append((level, len(cands)))
+        return cands[0]
+
+    G.scheme_generate(G.choice_scheme(), policy=log).prefix(5)
+    assert seen == [(0, 2), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1)]
 
 
 def test_scheme_generate_stuck():
@@ -728,3 +743,105 @@ def test_mechanical_stops_at_the_first_unresolved_floor(value, n, variant):
 def test_mechanical_invphi2_equals_fibonacci_on_a_million_symbols(fib):
     mech = G.mechanical(G.inv_golden_sq(), G.inv_golden_sq())
     assert agreement_length(fib, mech, 10**6) is None
+
+
+@st.composite
+def _mechanical_cases(draw):
+    q, d = draw(st.integers(1, 9000)), draw(st.integers(1, 40))
+    return (Fraction(draw(st.integers(0, q)), q), Fraction(draw(st.integers(0, d - 1)), d),
+            draw(st.booleans()), draw(st.booleans()), draw(st.sampled_from(["lower", "upper"])))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_mechanical_cases())
+def test_mechanical_reads_match_the_definition_up_to_the_first_open_floor(case):
+    # exact rationals, or straddling oracles for either parameter: a floor
+    # stays open where alpha*n + rho is an integer inside an interval of
+    # positive width (rho straddles, or alpha straddles and n > 0)
+    alpha, rho, alpha_oracle, rho_oracle, variant = case
+    length, upper = 9000, variant == "upper"
+    a = _straddling(alpha, "a") if alpha_oracle else G.RealParam.of(alpha)
+    r = _straddling(rho, "r") if rho_oracle else G.RealParam.of(rho)
+    stuck = next((n for n in range(length + 1) if (alpha * n + rho).denominator == 1
+                  and (rho_oracle or (alpha_oracle and n > 0))), None)
+    want = oracles.mechanical(alpha, rho, length, upper)
+    x = G.mechanical(a, r, variant)
+    reads = {1, 4095, 4097, 8193, length} | ({stuck - 1, stuck} if stuck else set())
+    f = "ceil" if upper else "floor"
+    for n in sorted(reads - {0}):
+        if stuck is None or n < stuck:
+            assert x.codes(n)[:n] == want[:n], n
+        else:  # reading n symbols needs the floor at n
+            with pytest.raises(PrecisionExhausted, match=re.escape(
+                    f"could not separate {f}({a}*{stuck} + {r}) after 256 refinements")):
+                x.codes(n)
+
+
+def test_mechanical_oracle_that_cannot_give_the_block_width_fails_at_the_block_start():
+    # no interval narrower than 2**-11: the first block's width is out of reach
+    coarse = G.RealParam(oracle=lambda eps: (Fraction(1, 3) - Fraction(1, 2**12),
+                                             Fraction(1, 3) + Fraction(1, 2**12)), name="coarse")
+    x = G.mechanical(coarse, "0")
+    for _ in range(2):
+        with pytest.raises(SpecError, match="enclosure oracle coarse returned width"):
+            x.prefix(1)
+
+
+# -- the level-indexed certified bounds -------------------------------------------------
+
+_BLOCK_001_0111 = [
+    55, 56, 57, 220, 221, 222, 223, 224, 225, 226, 227, 228, 877, 878, 879, 880, 881, 882,
+    883, 884, 885, 886, 887, 888, 889, 890, 891, 892, 893, 894, 895, 896, 897, 898, 899,
+    900, 901, 902, 903, 904, 905, 906, 907, 908, 909, 910, 911, 912, 3505, 3506, 3507, 3508,
+    3509, 3510, 3511, 3512, 3513, 3514, 3515, 3516, 3517, 3518, 3519, 3520]
+
+_LEVEL_BOUNDS = {
+    "keane": (lambda: G.keane(), "block product window (4*l_{m+1} + 2*l_m + n)", [
+        43, 44, 45, 130, 131, 132, 133, 134, 135, 388, 389, 390, 391, 392, 393, 394, 395, 396,
+        397, 398, 399, 400, 401, 402, 403, 404, 405, 1162, 1163, 1164, 1165, 1166, 1167, 1168,
+        1169, 1170, 1171, 1172, 1173, 1174, 1175, 1176, 1177, 1178, 1179, 1180, 1181, 1182,
+        1183, 1184, 1185, 1186, 1187, 1188, 1189, 1190, 1191, 1192, 1193, 1194, 1195, 1196,
+        1197, 1198]),
+    "alternating_prefix_example": (
+        lambda: G.alternating_prefix_example(),
+        "block product window (4*l_{m+1} + 2*l_m + n)", _BLOCK_001_0111),
+    "block_product_001_0111": (
+        lambda: G.block_product_seq(["001", "0111"], assert_both_letters=True),
+        "block product window (4*l_{m+1} + 2*l_m + n)", _BLOCK_001_0111),
+    "pair_scheme_ap": (
+        lambda: G.scheme_generate(G.pair_alternation_scheme()),
+        "pair-scheme window (junk + 2 * next level length)", [
+            12, 12, 36, 36, 36, 36, 108, 108, 108, 108, 108, 108, 108, 108, 108, 108, 108, 108,
+            324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324,
+            324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324,
+            324, 324, 972, 972, 972, 972, 972, 972, 972, 972, 972, 972]),
+    "pair_scheme_gap_0110": (
+        lambda: G.scheme_generate(G.pair_alternation_scheme(), mode="GAP", junk="0110"),
+        "pair-scheme window (junk + 2 * next level length)", [
+            16, 16, 40, 40, 40, 40, 112, 112, 112, 112, 112, 112, 112, 112, 112, 112, 112, 112,
+            328, 328, 328, 328, 328, 328, 328, 328, 328, 328, 328, 328, 328, 328, 328, 328, 328,
+            328, 328, 328, 328, 328, 328, 328, 328, 328, 328, 328, 328, 328, 328, 328, 328, 328,
+            328, 328, 976, 976, 976, 976, 976, 976, 976, 976, 976, 976]),
+    "rewrite_01_n0_2_ratio_3": (
+        lambda: G.progression_rewrite(G.periodic("01"), G.geometric_levels(2, 3)),
+        "progression rewrite window (phase-aligned base)", [
+            12, 12, 36, 36, 36, 36, 108, 108, 108, 108, 108, 108, 108, 108, 108, 108, 108, 108,
+            324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324,
+            324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324, 324,
+            324, 324, 972, 972, 972, 972, 972, 972, 972, 972, 972, 972]),
+    "rewrite_1_0011_n0_4_ratio_2": (
+        lambda: G.progression_rewrite(G.eventually_periodic("1", "0011"), G.geometric_levels(4, 2)),
+        "progression rewrite window (phase-aligned base)", [
+            16, 16, 16, 16, 32, 32, 32, 32, 64, 64, 64, 64, 64, 64, 64, 64, 128, 128, 128, 128,
+            128, 128, 128, 128, 128, 128, 128, 128, 128, 128, 128, 128, 256, 256, 256, 256, 256,
+            256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256,
+            256, 256, 256, 256, 256, 256, 256, 256, 256, 256]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LEVEL_BOUNDS))
+def test_level_indexed_bounds_keep_their_values(name):
+    make, provenance, want = _LEVEL_BOUNDS[name]
+    bound = make().certified_bound
+    assert bound.provenance == provenance
+    assert [bound(n) for n in range(1, 65)] == want
