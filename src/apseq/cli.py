@@ -22,7 +22,7 @@ from . import analysis as A
 from . import generators as G
 from . import omega as O
 from . import transforms as T
-from .core import Alphabet, Sequence, agreement_length, read_records
+from .core import Alphabet, Provenance, Sequence, agreement_length, read_records
 from .errors import (CostRefusal, GenerationStuck, HorizonExhausted,
                      MachineFault, MachineParseError, NoCertifiedBound,
                      PrecisionExhausted, SpecError, UnsupportedFeature)
@@ -54,8 +54,7 @@ class SequenceSpec:
         return SequenceSpec(family, params)
 
     def print(self) -> str:
-        items = " ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        return self.family if not items else f"{self.family} {items}"
+        return str(Provenance(self.family, self.params))
 
     def pop(self, key, default=None):
         return self.params.pop(key, default)
@@ -142,79 +141,83 @@ def parse_dfao_file(path: str) -> G.DFAO:
         raise MachineParseError(str(e)) from None
 
 
+def _morphic(s: SequenceSpec, seed) -> Sequence:
+    phi = _parse_rules(s.require("rules"))
+    coding = s.pop("coding")
+    cod = _parse_rules(coding) if coding else None
+    return G.morphic(phi, s.require("seed"), cod)
+
+
+def _block_product(s: SequenceSpec, seed) -> Sequence:
+    head = s.require("head")
+    tail = s.pop("tail", head)
+    both = s.pop("both", "true")
+    if both not in ("true", "false"):
+        raise SpecError(f"parameter both={both!r} is not true or false")
+    return G.block_product_seq([head, tail], assert_both_letters=both == "true",
+                               params={"head": head, "tail": tail})
+
+
+def _alternating_morphic(s: SequenceSpec, seed) -> Sequence:
+    rules = s.require("rules")
+    alpha = Alphabet(tuple(sorted(set(rules) - set(",:|"))))
+    morphs = tuple(_parse_rules(t, alpha) for t in rules.split("|"))
+    return G.alternating_morphic(G.AlternatingMorphismSystem(morphs, s.require("seed")))
+
+
+def _progression_rewrite(s: SequenceSpec, seed) -> Sequence:
+    pre = s.pop("base_pre", "")
+    period = s.require("base_period")
+    base = G.eventually_periodic(pre, period) if pre else G.periodic(period)
+    levels = G.geometric_levels(s.require_int("n0"), s.require_int("ratio"))
+    return G.progression_rewrite(_capped(base), levels)
+
+
+# Family name -> builder(spec copy, seed) -> sequence; each builder pops its
+# parameters.  File parsers are looked up by name, so wrappers see each call.
+FAMILIES = {
+    "periodic": lambda s, seed: G.periodic(s.require("period")),
+    "eventually_periodic": lambda s, seed: G.eventually_periodic(s.require("pre"),
+                                                                 s.require("period")),
+    "thue_morse": lambda s, seed: G.thue_morse(s.pop("definition", "recurrence")),
+    "fibonacci": lambda s, seed: G.fibonacci(),
+    "mechanical": lambda s, seed: G.mechanical(
+        _parse_real(s.require("alpha")), _parse_real(s.require("rho")), s.pop("variant", "lower")),
+    "morphic": _morphic,
+    "automatic": lambda s, seed: G.automatic(parse_dfao_file(s.require("file"))),
+    "block_product": _block_product,
+    "keane": lambda s, seed: G.keane(),
+    "alternating_prefix_example": lambda s, seed: G.alternating_prefix_example(),
+    "scheme": lambda s, seed: G.scheme_generate(
+        parse_scheme_file(s.require("file")), mode=s.pop("mode", "AP"),
+        policy=s.pop("policy", "lex"), seed=seed, junk=s.pop("junk")),
+    "toeplitz": lambda s, seed: G.toeplitz(G.ToeplitzPattern.from_text(s.require("pattern"))),
+    "paperfolding": lambda s, seed: G.paperfolding(),
+    "kolakoski": lambda s, seed: G.kolakoski(),
+    "alternating_morphic": _alternating_morphic,
+    "progression_rewrite": _progression_rewrite,
+    "aperiodicity_witness": lambda s, seed: G.aperiodicity_witness(s.require_int("k")),
+}
+
+
+def _capped(seq: Sequence) -> Sequence:
+    cap = os.environ.get("APSEQ_HORIZON_CAP")
+    if cap:
+        seq.horizon_cap = _as_int("APSEQ_HORIZON_CAP", cap)
+    return seq
+
+
 def build_sequence(spec: SequenceSpec, seed=None) -> Sequence:
     """Instantiate the generator named by the spec.  Unknown families and
     unknown or missing parameters are rejected naming the offending key.
     ``APSEQ_HORIZON_CAP``, when set, caps every sequence built here."""
     s = SequenceSpec(spec.family, spec.params)  # work on a copy
-    fam = s.family
-    inner = []  # sequences built here besides the result, for the horizon cap
-    if fam == "periodic":
-        out = G.periodic(s.require("period"))
-    elif fam == "eventually_periodic":
-        out = G.eventually_periodic(s.require("pre"), s.require("period"))
-    elif fam == "thue_morse":
-        out = G.thue_morse(s.pop("definition", "recurrence"))
-    elif fam == "fibonacci":
-        out = G.fibonacci()
-    elif fam == "mechanical":
-        out = G.mechanical(_parse_real(s.require("alpha")), _parse_real(s.require("rho")),
-                           s.pop("variant", "lower"))
-    elif fam == "morphic":
-        phi = _parse_rules(s.require("rules"))
-        coding = s.pop("coding")
-        cod = _parse_rules(coding, None) if coding else None
-        out = G.morphic(phi, s.require("seed"), cod)
-    elif fam == "automatic":
-        out = G.automatic(parse_dfao_file(s.require("file")))
-    elif fam == "block_product":
-        head = s.require("head")
-        tail = s.pop("tail", head)
-        both = s.pop("both", "true") == "true"
-        out = G.block_product_seq([head, tail], assert_both_letters=both,
-                                  params={"head": head, "tail": tail})
-    elif fam == "keane":
-        out = G.keane()
-    elif fam == "alternating_prefix_example":
-        out = G.alternating_prefix_example()
-    elif fam == "scheme":
-        scheme = parse_scheme_file(s.require("file"))
-        out = G.scheme_generate(scheme, mode=s.pop("mode", "AP"),
-                                policy=s.pop("policy", "lex"), seed=seed,
-                                junk=s.pop("junk"))
-    elif fam == "toeplitz":
-        out = G.toeplitz(G.ToeplitzPattern.from_text(s.require("pattern")))
-    elif fam == "paperfolding":
-        out = G.paperfolding()
-    elif fam == "kolakoski":
-        out = G.kolakoski()
-    elif fam == "alternating_morphic":
-        texts = s.require("rules").split("|")
-        letters = sorted({c for t in texts for item in t.split(",")
-                          for c in item.replace(":", "")})
-        alpha = Alphabet(tuple(letters))
-        morphs = tuple(_parse_rules(t, alpha) for t in texts)
-        out = G.alternating_morphic(G.AlternatingMorphismSystem(morphs, s.require("seed")))
-    elif fam == "progression_rewrite":
-        pre = s.pop("base_pre", "")
-        period = s.require("base_period")
-        base = G.eventually_periodic(pre, period) if pre else G.periodic(period)
-        inner.append(base)
-        out = G.progression_rewrite(base, G.geometric_levels(s.require_int("n0"),
-                                                             s.require_int("ratio")))
-    elif fam == "aperiodicity_witness":
-        out = G.aperiodicity_witness(s.require_int("k"))
-    else:
-        raise SpecError(f"unknown sequence family {fam!r}")
+    if s.family not in FAMILIES:
+        raise SpecError(f"unknown sequence family {s.family!r}")
+    out = FAMILIES[s.family](s, seed)
     if s.params:
-        key = sorted(s.params)[0]
-        raise SpecError(f"family {fam!r} does not take parameter {key!r}")
-    cap = os.environ.get("APSEQ_HORIZON_CAP")
-    if cap:
-        cap = _as_int("APSEQ_HORIZON_CAP", cap)
-        for seq in (*inner, out):
-            seq.horizon_cap = cap
-    return out
+        raise SpecError(f"family {s.family!r} does not take parameter {sorted(s.params)[0]!r}")
+    return _capped(out)
 
 
 # -- output helpers ----------------------------------------------------------------
@@ -366,8 +369,6 @@ def _analyze_rows(args, x: Sequence):
             rows.append(("screen", rep.preperiod if rep.confirmed else "",
                          rep.period if rep.confirmed else 0,
                          "confirmed" if rep.confirmed else "triggered", h))
-    else:
-        raise SpecError(f"unknown metric {metric!r}")
     return rows
 
 
@@ -382,7 +383,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_spec(args) -> int:
     spec = SequenceSpec.parse(args.spec)
-    build_sequence(SequenceSpec(spec.family, dict(spec.params)), seed=args.seed)
+    build_sequence(spec, seed=args.seed)
     print(spec.print())
     return 0
 

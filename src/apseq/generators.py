@@ -857,9 +857,6 @@ def scheme_validate(scheme, depth: int) -> list:
     return out
 
 
-_LOOKAHEAD = 1
-
-
 def scheme_generate(scheme, mode: str = "AP", policy="lex", seed=None,
                     junk=None) -> Sequence:
     """Generate a sequence satisfying the scheme's window constraints.
@@ -868,8 +865,8 @@ def scheme_generate(scheme, mode: str = "AP", policy="lex", seed=None,
     of the next, and extends it lazily; the policy resolves the choice
     among candidate extensions (default: lexicographically least; also a
     seeded random policy or a caller callback level, candidates -> word).
-    A dead end within the lookahead, or a level whose chosen word adds no
-    symbols, raises :class:`GenerationStuck` naming the level.
+    A level where no candidate extends to the next level, or whose chosen
+    word adds no symbols, raises :class:`GenerationStuck` naming the level.
 
     AP mode emits the chain limit.  GAP mode (pair schemes only) prepends
     a junk word: the result satisfies the offset window constraints with
@@ -888,6 +885,8 @@ def scheme_generate(scheme, mode: str = "AP", policy="lex", seed=None,
     if mode == "AP" and len(junk_word):
         raise SpecError("junk prefix only makes sense in GAP mode")
 
+    if policy not in ("lex", "random") and not callable(policy):
+        raise SpecError(f"unknown policy {policy!r} (expected lex, random or a callable)")
     if policy == "random" and seed is None:
         raise SpecError("the random policy needs a seed")
     rng = _random.Random(seed)
@@ -905,14 +904,8 @@ def scheme_generate(scheme, mode: str = "AP", policy="lex", seed=None,
             arrs = [a for a in arrs if np.array_equal(a[:prev.size], prev)]
         return sorted(arrs, key=lambda a: a.astype(a.dtype.newbyteorder(">"), copy=False).tobytes())
 
-    def viable(level_n: int, w: np.ndarray, depth: int) -> bool:
-        if depth == 0:
-            return True
-        return any(viable(level_n + 1, w2, depth - 1)
-                   for w2 in candidates(level_n + 1, w))
-
     def choose(level_n: int, prev: np.ndarray | None) -> np.ndarray:
-        cands = [w for w in candidates(level_n, prev) if viable(level_n, w, _LOOKAHEAD)]
+        cands = [w for w in candidates(level_n, prev) if candidates(level_n + 1, w)]
         if not cands:
             raise GenerationStuck(f"no viable continuation at level {level_n}", level=level_n)
         if policy == "lex":
@@ -1124,11 +1117,9 @@ def progression_rewrite(base: Sequence, levels) -> Sequence:
     at most n_0.  For general bases the junction factors between copies
     and base content recur on a slower schedule and no bound is asserted.
     """
-    level = levels if callable(levels) else (lambda k, _ls=list(levels): _ls[k])
-
     @lru_cache(maxsize=None)
     def lv(k: int) -> int:
-        v = int(level(k))
+        v = int(levels(k))
         if k > 0:
             prev = lv(k - 1)
             if v <= prev or v % prev:

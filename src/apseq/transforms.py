@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import _CHUNK, Alphabet, Bound, Provenance, Sequence, Word, read_records
 from .errors import MachineFault, MachineParseError, SpecError
-from .generators import Morphism, periodic
+from .generators import Morphism, _expand, _image_table, periodic
 
 # -- machines -----------------------------------------------------------------
 
@@ -94,21 +94,18 @@ def apply_morphism(phi: Morphism, x: Sequence) -> Sequence:
     formula is asserted for general morphism images."""
     if phi.source != x.alphabet:
         raise SpecError("morphism source does not match the sequence alphabet")
-    table = phi.image_codes()
-    if phi.erasing_ok and all(len(t) == 0 for t in table):
+    table = _image_table(phi.image_codes(), phi.target)
+    if not table[2].any():
         raise SpecError("image collapse: every letter erased")
 
     def chunks():
-        stall = 0
+        stall = 0  # input symbols with empty images since the last output
         for xs in x.chunks():
-            out = []
-            for c in xs.tolist():
-                img = table[c]
-                out.extend(img)
-                stall = stall + 1 if not img else 0
-                if stall > 100_000:
-                    raise SpecError("image collapse: no output over a long input stretch")
-            yield out
+            emits = np.concatenate(([-1 - stall], np.flatnonzero(table[2][xs]), [xs.size]))
+            if (np.diff(emits) - 1).max() > 100_000:
+                raise SpecError("image collapse: no output over a long input stretch")
+            stall = xs.size - 1 - int(emits[-2])
+            yield _expand(table, xs)
 
     prov = Provenance("morphism_image", {"of": str(x.provenance)})
     return Sequence.from_chunks(phi.target, chunks(), provenance=prov, horizon_cap=x.horizon_cap)

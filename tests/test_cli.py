@@ -2,13 +2,16 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import json
 import os
+import re
 import signal
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from apseq import cli
 from apseq import generators as G
 from apseq import omega as O
 from apseq import transforms as T
@@ -347,6 +350,8 @@ MALFORMED = {
     "scheme-without-expansions": (PAIRS.replace("expand:", "# expand:"),
                                   GEN + "scheme file={f}", 2),
     "scheme-random-without-seed": (CHOICE, GEN + "scheme file={f} policy=random", 2),
+    "scheme-unknown-policy": (PAIRS, GEN + "scheme file={f} policy=foo", 2),
+    "block-product-both-not-a-truth-value": ("", GEN + "block_product head=01 both=yes", 2),
     "digits-output-without-eq": (DIGITS.replace("output: e = 0", "output: e"),
                                  GEN + "automatic file={f}", 4),
     "digits-base-not-a-number": (DIGITS.replace("base: 2", "base: x"),
@@ -424,6 +429,12 @@ def test_readme_file_formats_parse(tmp_path):
     assert G.scheme_validate(parse_scheme_file(str(tmp_path / "scheme")), 3) == []
 
 
+def test_readme_family_list_matches_the_family_table():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sentence = readme.split("Families: ", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`(\w+)`", sentence) == list(cli.FAMILIES)
+
+
 def _tracing():
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
@@ -467,3 +478,92 @@ def test_tracer_spans_count_the_codes_filled():
     finally:
         tracer.uninstall()
     assert tracing.Tracer.leftovers() == []
+
+
+# -- conformance golden ----------------------------------------------------------
+
+# Every family's valid specs and each single fault (unknown family, each
+# missing key, an extra key, a bad value), run through gen, spec and analyze
+# under four horizon caps.  {dir} stands for the folder of the input files.
+GOLDEN_SPECS = [
+    "martian", "periodic period", "periodic period=0 period=1",
+    "periodic period=01", "periodic period=0", "periodic", "periodic period=",
+    "eventually_periodic pre=1 period=0", "eventually_periodic pre=ab period=abc",
+    "eventually_periodic period=0", "eventually_periodic pre=1",
+    "thue_morse", "thue_morse definition=digit_sum", "thue_morse definition=morphic",
+    "thue_morse definition=foo",
+    "fibonacci",
+    "mechanical alpha=invphi2 rho=invphi2 variant=lower", "mechanical alpha=2/7 rho=1/3",
+    "mechanical alpha=1/2 rho=0 variant=upper", "mechanical rho=0", "mechanical alpha=1/2",
+    "mechanical alpha=abc rho=0", "mechanical alpha=1/2 rho=0 variant=middle",
+    "morphic rules=0:01,1:10 seed=0", "morphic rules=0:01,1:20,2:1 seed=0 coding=0:0,1:1,2:0",
+    "morphic seed=0", "morphic rules=0:01,1:10", "morphic rules=0:10,1:01 seed=0",
+    "morphic rules=bad seed=0",
+    "automatic file={dir}/digits", "automatic", "automatic file={dir}/missing",
+    "block_product head=001 tail=0111", "block_product head=01",
+    "block_product head=001 tail=0111 both=false", "block_product", "block_product head=1 tail=",
+    "keane", "alternating_prefix_example",
+    "scheme file={dir}/pairs", "scheme file={dir}/pairs mode=GAP junk=1",
+    "scheme file={dir}/choice policy=lex", "scheme", "scheme file={dir}/pairs mode=XX",
+    "scheme file={dir}/choice policy=random", "scheme file={dir}/missing",
+    "toeplitz pattern=1_0_", "toeplitz pattern=0__1", "toeplitz", "toeplitz pattern=_0",
+    "paperfolding", "kolakoski",
+    "alternating_morphic rules=1:2,2:22|1:1,2:11 seed=2", "alternating_morphic seed=2",
+    "alternating_morphic rules=1:2,2:22|1:1,2:11", "alternating_morphic rules=1:2,2:22 seed=9",
+    "progression_rewrite base_period=01 n0=4 ratio=4",
+    "progression_rewrite base_pre=1 base_period=0 n0=2 ratio=3",
+    "progression_rewrite n0=4 ratio=4", "progression_rewrite base_period=01 ratio=4",
+    "progression_rewrite base_period=01 n0=4", "progression_rewrite base_period=01 n0=x ratio=2",
+    "progression_rewrite base_period=01 n0=4 ratio=1",
+    "aperiodicity_witness k=5", "aperiodicity_witness k=12", "aperiodicity_witness",
+    "aperiodicity_witness k=2", "aperiodicity_witness k=x",
+]
+GOLDEN_EXTRA = [s + " extra=1" for s in (
+    "periodic period=01", "eventually_periodic pre=1 period=0", "thue_morse", "fibonacci",
+    "mechanical alpha=1/2 rho=0", "morphic rules=0:01,1:10 seed=0", "automatic file={dir}/digits",
+    "block_product head=01", "keane", "alternating_prefix_example", "scheme file={dir}/pairs",
+    "toeplitz pattern=1_0_", "paperfolding", "kolakoski",
+    "alternating_morphic rules=1:2,2:22|1:1,2:11 seed=2",
+    "progression_rewrite base_period=01 n0=4 ratio=4", "aperiodicity_witness k=5")]
+GOLDEN_COMMANDS = [["gen", "--n", "40"], ["spec"], ["analyze", "--metric", "complexity"]]
+GOLDEN_CAPS = [None, "5000", str(2 * 10**7), "x"]
+GOLDEN_FILE = ROOT / "tests" / "golden" / "cli" / "specs.json"
+
+
+def cli_matrix(folder) -> dict:
+    """"cap | argv" -> [exit code, stdout, stderr], with the input files
+    written to folder and its path printed as {dir}."""
+    for name, text in (("digits", DIGITS), ("pairs", PAIRS), ("choice", CHOICE)):
+        (Path(folder) / name).write_text(text)
+    saved, got = os.environ.pop("APSEQ_HORIZON_CAP", None), {}
+    try:
+        for cap in GOLDEN_CAPS:
+            if cap is not None:
+                os.environ["APSEQ_HORIZON_CAP"] = cap
+            for spec in GOLDEN_SPECS + GOLDEN_EXTRA:
+                for command in GOLDEN_COMMANDS:
+                    argv = command + ["--spec", spec.format(dir=folder)]
+                    result = run(argv)
+                    got[f"{cap} | {' '.join(command)} --spec {spec}"] = [
+                        result[0], *(t.replace(str(folder), "{dir}") for t in result[1:])]
+            os.environ.pop("APSEQ_HORIZON_CAP", None)
+    finally:
+        if saved is not None:
+            os.environ["APSEQ_HORIZON_CAP"] = saved
+    return got
+
+
+def test_cli_output_matches_its_golden_file(tmp_path):
+    want = json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))
+    got = cli_matrix(tmp_path)
+    assert sorted(got) == sorted(want)
+    assert [k for k in want if got[k] != want[k]] == []
+
+
+if __name__ == "__main__":
+    # re-records the golden file: PYTHONPATH=src python tests/test_cli.py
+    import tempfile
+    with tempfile.TemporaryDirectory() as folder:
+        GOLDEN_FILE.parent.mkdir(exist_ok=True)
+        GOLDEN_FILE.write_text(json.dumps(cli_matrix(folder), indent=1, sort_keys=True) + "\n",
+                               encoding="utf-8")

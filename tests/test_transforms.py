@@ -46,6 +46,27 @@ def test_apply_morphism_identity_and_projection(tm):
     assert T.apply_morphism(proj, tm).prefix(6).text == "aaaaaa"
 
 
+def test_apply_morphism_concatenates_the_letter_images(tm):
+    phi = G.Morphism.from_rules(B, B, {"0": "011", "1": "0"})
+    n = 20_000  # several input chunks
+    want = "".join({"0": "011", "1": "0"}[c] for c in tm.prefix(n).text)
+    assert T.apply_morphism(phi, tm).prefix(len(want)).text == want
+
+
+def test_apply_morphism_stall_limit():
+    # at most 100,000 consecutive input symbols may have empty images
+    erase = G.Morphism.from_rules(B, B, {"0": "", "1": "1"}, erasing_ok=True)
+    ok = T.apply_morphism(erase, G.eventually_periodic("1" + "0" * 100_000, "1"))
+    assert ok.prefix(3).text == "111"
+    bad = T.apply_morphism(erase, G.eventually_periodic("1" + "0" * 100_001, "1"))
+    assert bad.prefix(1).text == "1"
+    with pytest.raises(SpecError, match="long input stretch"):
+        bad.prefix(2)
+    every = G.Morphism.from_rules(B, B, {"0": "", "1": ""}, erasing_ok=True)
+    with pytest.raises(SpecError, match="every letter erased"):
+        T.apply_morphism(every, G.thue_morse())
+
+
 # -- transduction ----------------------------------------------------------------
 
 
