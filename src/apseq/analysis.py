@@ -19,6 +19,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ import numpy as np
 from .core import Segment, Sequence, Word
 from .errors import HorizonExhausted, SpecError
 
-_POWER_BLOCK = 1 << 16      # detect_powers: samples lifted together, in consecutive periods
+_POWER_BLOCK = 1 << 16      # detect_powers: samples lifted together, and about the output made together
 
 # glibc maps each block of 128 KB or more afresh, faulting in every page, until its
 # dynamic threshold happens to pass the block's size; the factor kernels' horizon-sized
@@ -40,13 +41,41 @@ if hasattr(_libc, "mallopt"):   # blocks under 32 MB stay on the heap, 64 MB of 
 # -- report types ----------------------------------------------------------
 
 
+class FactorWords(_SequenceABC):
+    """The length-n words at the given starts of a code array, read-only;
+    a Word is made when an item is read.  Equal to a list of the same words."""
+
+    def __init__(self, alphabet, codes: np.ndarray, starts: np.ndarray, n: int):
+        self.alphabet, self.codes, self.starts, self.n = alphabet, codes, starts, n
+
+    def __len__(self):
+        return len(self.starts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return FactorWords(self.alphabet, self.codes, self.starts[i], self.n)
+        s = int(self.starts[i])
+        return Word._of(self.alphabet, tuple(self.codes[s:s + self.n].tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, FactorWords)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self):
+        return repr(list(self))
+
+
 @dataclass
 class RegulatorReport:
+    """``finitely_occurring``: the length-n words taken to occur finitely
+    often, in lexicographic order, as a read-only FactorWords (or a list)."""
+
     n: int
     value: int
     kind: str                      # empirical-lower | certified-exact | certified-upper
     horizon: int | None = None
-    finitely_occurring: list = field(default_factory=list)
+    finitely_occurring: _SequenceABC = field(default_factory=list)
 
     def __post_init__(self):
         if self.value < self.n:
@@ -190,13 +219,6 @@ def _factor_word(x: Sequence, start: int, n: int) -> Word:
     return x.segment(Segment(start, start + n - 1))
 
 
-def _factor_words(x: Sequence, starts: np.ndarray, n: int, horizon: int) -> list:
-    """The length-n words at the given starts of the horizon prefix, sliced
-    from its code list without re-checking the codes."""
-    codes = x.prefix_array(horizon).tolist() if len(starts) else []
-    return [Word._of(x.alphabet, tuple(codes[i:i + n])) for i in starts]
-
-
 def subword_complexity(x: Sequence, n: int, horizon: int) -> int:
     """Number of distinct length-n factors of the horizon prefix.
 
@@ -220,7 +242,7 @@ def empirical_regulator(x: Sequence, n: int, horizon: int) -> RegulatorReport:
     best = max(_coverage(first, last, gap, n, horizon)[~finite].max(initial=n),
                last[finite].max(initial=-1) + 1)
     return RegulatorReport(n, int(best), "empirical-lower", horizon,
-                           _factor_words(x, first[finite], n, horizon))
+                           FactorWords(x.alphabet, x.prefix_array(horizon), first[finite], n))
 
 
 def certified_regulator(x: Sequence, n: int) -> RegulatorReport:
@@ -253,8 +275,8 @@ def certified_regulator(x: Sequence, n: int) -> RegulatorReport:
     l2 = int(_coverage(first, last, gap, n, horizon)[recurring].max(initial=n))
     if l2 > fn:
         raise SpecError(f"certified bound violated: factor missing from a length-{fn} factor")
-    return RegulatorReport(n, max(l1, l2), "certified-exact",
-                           finitely_occurring=_factor_words(x, first[finite], n, horizon))
+    return RegulatorReport(n, max(l1, l2), "certified-exact", finitely_occurring=FactorWords(
+        x.alphabet, x.prefix_array(horizon), first[finite], n))
 
 
 def certified_bound_report(x: Sequence, n: int) -> RegulatorReport:
@@ -379,6 +401,17 @@ def detect_powers(x: Sequence, horizon: int, kind: str,
     + output) time and about 4 H log2 H bytes for the pyramid (6.4 MB at
     H = 10^5, about 0.9 GB at 10^7).
     """
+    out = []
+    for pos, ulen in power_blocks(x, horizon, kind, max_period, limit):
+        out += zip(pos.tolist(), ulen.tolist())
+    return out
+
+
+def power_blocks(x: Sequence, horizon: int, kind: str,
+                 max_period: int | None = None, limit: int | None = None):
+    """The occurrences of :func:`detect_powers` in its order, as (positions,
+    |u|) array pairs of at most _POWER_BLOCK plus one run's, made as read;
+    the arguments are checked and the prefix read at the call."""
     if kind not in ("square", "cube", "overlap"):
         raise SpecError("kind must be square, cube, or overlap")
     if horizon < 4:
@@ -390,7 +423,7 @@ def detect_powers(x: Sequence, horizon: int, kind: str,
     if max_period is not None:
         p_cap = min(p_cap, max_period)
     if p_cap < 1 or limit == 0:
-        return []
+        return iter(())
     arr = x.prefix_array(horizon)
     levels, ids = [], arr                             # level k: windows of length 2**k
     while 2 << len(levels) <= horizon:
@@ -399,28 +432,36 @@ def detect_powers(x: Sequence, horizon: int, kind: str,
     levels.append(ids)
     samples = (horizon - 1) // np.arange(1, p_cap + 1)   # s = 0, p, .. below H - p
     ends = np.cumsum(samples)
-    out, lo = [], 0
-    while lo < p_cap:
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - samples[lo] + _POWER_BLOCK, "right")))
-        p = np.repeat(np.arange(lo + 1, hi + 1), samples[lo:hi])
-        s = _ramps(samples[lo:hi]) * p
-        hit = arr[s] == arr[s + p]
-        s, p = s[hit], p[hit]
-        back = _extension(levels, hi.bit_length() - 1, s, p, s, True)
-        first = back < p
-        s, p, back = s[first], p[first], back[first]
-        need = reps * p + extra
-        fwd = _extension(levels, (reps * hi + extra).bit_length() - 1, s, p, horizon - p - s, False)
-        long = back + fwd >= need
-        s, p, back, need = s[long], p[long], back[long], need[long]
-        fwd = _extension(levels, len(levels), s, p, horizon - p - s, False)
-        count = back + fwd - need + 1
-        out += zip((np.repeat(s - back, count) + _ramps(count)).tolist(),
-                   np.repeat(p - extra, count).tolist())
-        if limit is not None and len(out) >= limit:
-            return out[:limit]
-        lo = hi
-    return out
+
+    def blocks():
+        lo, left = 0, limit
+        while lo < p_cap:
+            hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - samples[lo] + _POWER_BLOCK,
+                                                 "right")))
+            p = np.repeat(np.arange(lo + 1, hi + 1), samples[lo:hi])
+            s = _ramps(samples[lo:hi]) * p
+            hit = arr[s] == arr[s + p]
+            s, p = s[hit], p[hit]
+            back = _extension(levels, hi.bit_length() - 1, s, p, s, True)
+            first = back < p
+            s, p, back = s[first], p[first], back[first]
+            need = reps * p + extra
+            fwd = _extension(levels, (reps * hi + extra).bit_length() - 1, s, p,
+                             horizon - p - s, False)
+            long = back + fwd >= need
+            s, p, back, need = s[long], p[long], back[long], need[long]
+            fwd = _extension(levels, len(levels), s, p, horizon - p - s, False)
+            count = back + fwd - need + 1
+            piece = (np.cumsum(count) - count) // _POWER_BLOCK  # runs by where they start
+            edges = [0, *(np.flatnonzero(np.diff(piece)) + 1).tolist(), count.size]
+            for a, b in zip(edges, edges[1:]):
+                pos = (np.repeat(s[a:b] - back[a:b], count[a:b]) + _ramps(count[a:b]))[:left]
+                yield pos, np.repeat(p[a:b] - extra, count[a:b])[:pos.size]
+                if left is not None and (left := left - pos.size) == 0:
+                    return
+            lo = hi
+
+    return blocks()
 
 
 # -- shift-mismatch measures --------------------------------------------------

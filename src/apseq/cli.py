@@ -82,18 +82,20 @@ def _parse_real(text: str):
     return G.RealParam.of(text)
 
 
-def _parse_rules(text: str, alphabet=None):
-    """Morphism rules "a:word,b:word" over single-character symbols."""
+def _parse_rules(text: str, alphabet=None, coding=False):
+    """Morphism rules "a:word,b:word" over single-character symbols, from the
+    alphabet (default: every letter named) onto itself, or onto the image letters."""
     pairs = {}
     for item in text.split(","):
         if ":" not in item:
             raise SpecError(f"bad morphism rule {item!r}")
         letter, image = item.split(":", 1)
         pairs[letter] = image
+    letters = {c for w in pairs.values() for c in w}
     if alphabet is None:
-        letters = sorted(set(pairs) | {c for w in pairs.values() for c in w})
-        alphabet = Alphabet(tuple(letters))
-    return G.Morphism.from_rules(alphabet, alphabet, pairs)
+        alphabet = Alphabet(tuple(sorted(set(pairs) | letters)))
+    target = Alphabet(tuple(sorted(letters))) if coding else alphabet
+    return G.Morphism.from_rules(alphabet, target, pairs)
 
 
 def parse_scheme_file(path: str):
@@ -144,7 +146,7 @@ def parse_dfao_file(path: str) -> G.DFAO:
 def _morphic(s: SequenceSpec, seed) -> Sequence:
     phi = _parse_rules(s.require("rules"))
     coding = s.pop("coding")
-    cod = _parse_rules(coding) if coding else None
+    cod = _parse_rules(coding, phi.source, coding=True) if coding else None
     return G.morphic(phi, s.require("seed"), cod)
 
 
@@ -324,10 +326,10 @@ def _analyze_rows(args, x: Sequence):
         rows.append(("balance", rep.n if rep.n else "", 0 if rep.balanced else rep.spread,
                      "balanced" if rep.balanced else "violation", h))
     elif metric == "powers":
-        occs = A.detect_powers(x, h, args.kind, max_period=args.max_period,
-                               limit=args.limit)
-        # made row by row as printed; detect_powers raises before the first row
-        return ((f"powers-{args.kind}", pos, ulen, "occurrence", h) for pos, ulen in occs)
+        blocks = A.power_blocks(x, h, args.kind, max_period=args.max_period, limit=args.limit)
+        # made an array pair at a time as printed; power_blocks raises before the first row
+        return ((f"powers-{args.kind}", pos, ulen, "occurrence", h)
+                for p, u in blocks for pos, ulen in zip(p.tolist(), u.tolist()))
     elif metric == "am":
         rep = A.am_estimate(x, args.shifts, h)
         for s in sorted(rep.per_shift):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import Alphabet, Bound, Segment, Sequence, read_records
 from .errors import CostRefusal, MachineParseError, NoCertifiedBound, SpecError, UnsupportedFeature
-from .transforms import bound_formulas
+from .transforms import bound_formulas, run_states
 
 # -- automata ----------------------------------------------------------------
 
@@ -163,56 +163,31 @@ def _window_states(initial, delta: dict, alphabet: Alphabet, xs: np.ndarray, w: 
     """The states q_i, w <= i < 2w, of the run q_0 = initial,
     q_{i+1} = delta(q_i, xs[i]).
 
-    delta becomes a table indexed by state * k + symbol code whose entries
-    are state * k again, with a sink state standing for a missing
-    transition.  Each chunk of symbols is cut into blocks; one gather per
-    symbol position advances every block from every start state at once,
-    the blocks' maps are chained from the chunk's entry state, and a
-    replay from each block's entry state lists the states it visits (only
-    in chunks that reach the window, or that hit a missing transition).
+    delta becomes a table for :func:`run_states`, with a sink state
+    standing for a missing transition.  The symbols go through it a chunk
+    at a time; a chunk before the window needs only its exit state, and a
+    chunk that reaches the sink is run again for the first missing one.
     """
     syms, k = alphabet.symbols, len(alphabet)
     states = list(dict.fromkeys([initial, *(q for q, _a in delta), *delta.values()]))
     index = {q: i * k for i, q in enumerate(states)}
     sink = len(states) * k
-    table = np.full(sink + k, sink, dtype=np.intp)
+    table = np.full((len(states) + 1, k), sink, dtype=np.intp)
     for (q, a), q2 in delta.items():
         if a in alphabet:
-            table[index[q] + alphabet.index(a)] = index[q2]
-    starts = np.arange(0, sink + k, k)
-    seen = np.zeros(sink + k, dtype=bool)
-    q, B = index[initial], _SCAN_BLOCK
+            table[index[q] // k, alphabet.index(a)] = index[q2]
+    seen = np.zeros(sink, dtype=bool)
+    q = index[initial]
     for lo in range(0, 2 * w, _SCAN_CHUNK):
         part = xs[lo:min(lo + _SCAN_CHUNK, 2 * w)]
-        n = len(part)
-        nb = -(-n // B)
-        cols = np.zeros(nb * B, dtype=np.intp)
-        cols[:n] = part
-        cols = np.ascontiguousarray(cols.reshape(nb, B).T)   # cols[j]: symbol j of each block
-        maps = np.repeat(starts[:, None], nb, axis=1)      # maps[s, b]: block b run from s
-        tmp = np.empty_like(maps)
-        for col in cols:
-            table.take(np.add(maps, col, out=tmp), out=maps)
-        entry = []
-        for row in maps.T.tolist():
-            entry.append(q)
-            q = row[q // k]
-        if lo + n <= w and q != sink:  # before the window only the exit state counts
-            continue
-        visit = np.empty((B, nb), dtype=np.intp)            # visit[j, b]: state before cols[j, b]
-        st = np.array(entry, dtype=np.intp)
-        for j, col in enumerate(cols):
-            visit[j] = st
-            table.take(np.add(st, col, out=st), out=st)
-        before = visit.T.ravel()[:n]
-        if (st == sink).any():
-            after = table[before + cols.T.ravel()[:n]]
-            i = np.flatnonzero(after == sink)
-            if i.size:
-                i = i[0]
-                raise _no_transition((states[before[i] // k], syms[part[i]]))
-        seen[before[max(w - lo, 0):]] = True
-        q = int(table[before[-1] + part[-1]])
+        entry = q
+        before, q = run_states(table, entry, part, _SCAN_BLOCK, visits=lo + len(part) > w)
+        if q == sink:
+            before = run_states(table, entry, part, _SCAN_BLOCK)[0]
+            i = np.flatnonzero(table.ravel()[before + part] == sink)[0]
+            raise _no_transition((states[before[i] // k], syms[part[i]]))
+        if before is not None:
+            seen[before[max(w - lo, 0):]] = True
     return frozenset(states[i // k] for i in np.flatnonzero(seen))
 
 

@@ -7,11 +7,17 @@ sequence.  A uniform transducer with m states maps a sequence with bound
 g to one with bound h(h(n)), h = (g+1) composed m times minus 1; general
 transducers drop the bound (they factor as uniform followed by a plain
 morphism, and no window formula is asserted for morphism images).
+
+Finite machines, the decision engine's acceptors included, run a chunk of
+codes at a time through one kernel, :func:`run_states`; emissions are read
+at state * k + code.  Splits number a chunk's blocks with array arithmetic;
+only the stack machine steps one symbol at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,6 +159,41 @@ def bound_formulas(g, m: int, linear_coefficient=None) -> dict:
     return out
 
 
+def run_states(table: np.ndarray, q: int, codes: np.ndarray, block: int = 0,
+               visits: bool = True):
+    """(before, exit) of the run from state q over the codes: before[i] is
+    the state before codes[i], exit the last one.  Without ``visits``,
+    before is None if the codes fill whole blocks.
+
+    ``table`` has a row per state and a column per code; a state is its row
+    times k, so state + code indexes the flat table (and emission tables).
+    Blocks of ``block`` codes (default sqrt(n)/5) are advanced from every
+    state at once, one gather per block position; their maps are chained
+    from q, and a replay from each block's entry state lists its states."""
+    flat, k, n = table.ravel(), table.shape[1], len(codes)
+    B = block or max(1, math.isqrt(n) // 5)
+    nb = -(-n // B)
+    cols = np.zeros(nb * B, dtype=np.intp)
+    cols[:n] = codes
+    cols = np.ascontiguousarray(cols.reshape(nb, B).T)   # cols[j]: symbol j of each block
+    maps = np.repeat(np.arange(0, flat.size, k)[:, None], nb, axis=1)  # maps[s, b]: block b from s
+    tmp = np.empty_like(maps)
+    for col in cols:
+        flat.take(np.add(maps, col, out=tmp), out=maps)
+    entry = []
+    for row in maps.T.tolist():
+        entry.append(q)
+        q = row[q // k]
+    if not (visits or n % B):  # a partial last block's map runs on past the codes
+        return None, q
+    visit = np.empty((B + 1, nb), dtype=np.intp)        # visit[j, b]: state before cols[j, b]
+    visit[0] = entry
+    for j, col in enumerate(cols):
+        flat.take(np.add(visit[j], col, out=tmp[0]), out=visit[j + 1])
+    before = visit[:B].T.ravel()[:n]
+    return before, int(flat[before[-1] + codes[-1]]) if n else q
+
+
 def transduce(machine: Transducer, x: Sequence) -> Sequence:
     """The image of the sequence under the machine.  Uniform machines
     propagate a certified bound (m-fold window composition, applied
@@ -160,22 +201,21 @@ def transduce(machine: Transducer, x: Sequence) -> Sequence:
     factoring into a uniform machine followed by a morphism."""
     if machine.input_alphabet != x.alphabet:
         raise SpecError("machine input alphabet does not match the sequence")
-    insyms = x.alphabet.symbols
-    emit = {k: w.codes for k, w in machine.emit.items()}
-    step = machine.step
+    k = len(x.alphabet)
+    row = {q: i * k for i, q in enumerate(machine.states)}
+    keys = [(q, a) for q in machine.states for a in x.alphabet]
+    table = np.array([row[machine.step[key]] for key in keys], dtype=np.intp).reshape(-1, k)
+    images = _image_table([machine.emit[key].codes for key in keys], machine.output_alphabet)
+    uniform = machine.uniform
 
     def chunks():
-        q = machine.initial
+        q = row[machine.initial]
         for xs in x.chunks():
-            out = []
-            for c in xs.tolist():
-                a = insyms[c]
-                out.extend(emit[(q, a)])
-                q = step[(q, a)]
-            yield out
+            before, q = run_states(table, q, xs)
+            yield images[0][before + xs] if uniform else _expand(images, before + xs)
 
     bound = None
-    if machine.uniform and x.certified_bound is not None:
+    if uniform and x.certified_bound is not None:
         bound = bound_formulas(x.certified_bound, len(machine.states))["image"]
     prov = Provenance("transduce", {"of": str(x.provenance), "states": len(machine.states)})
     return Sequence.from_chunks(machine.output_alphabet, chunks(), bound=bound, provenance=prov,
@@ -268,7 +308,8 @@ def split(x: Sequence, marker: str, horizon: int) -> Sequence:
     """Cut after every occurrence of the marker, encode each block (a
     marker-free word followed by the marker) as a fresh symbol, and drop
     the first block.  The block alphabet is discovered on the horizon
-    prefix; a later block outside it is a hard error."""
+    prefix; a later block outside it is a hard error.  A block is named by
+    its digits code + 1 in base k + 1 (int64 while it fits, else Python ints)."""
     mcode = x.alphabet.index(marker)
     xs = x.prefix_array(horizon)
     ends = (np.flatnonzero(xs == mcode) + 1).tolist()
@@ -276,26 +317,38 @@ def split(x: Sequence, marker: str, horizon: int) -> Sequence:
     if len(blocks) < 2:
         raise SpecError(f"marker {marker!r} does not cut twice within the horizon")
     kinds = sorted(set(blocks))
-    code_of = {b: i for i, b in enumerate(kinds)}
     insyms = x.alphabet.symbols
     sep = "" if x.alphabet.single_char else ","
     out = Alphabet(tuple(sep.join(insyms[c] for c in b) for b in kinds))
+    base, top = len(x.alphabet) + 1, max(map(len, kinds))
+    weight = np.array([base**j for j in range(top + 1)],
+                      dtype=np.int64 if base**top < 2**63 else object)
+    names = np.array([sum((c + 1) * base**(len(b) - 1 - j) for j, c in enumerate(b))
+                      for b in kinds], dtype=weight.dtype)
+    order = np.argsort(names)
+    names = names[order]
 
     def chunks():
-        run = []
+        rest = []  # the codes after the last marker read
         for xs in x.chunks(len(blocks[0])):
-            codes = []
-            for c in xs.tolist():
-                run.append(c)
-                if c == mcode:
-                    key = tuple(run)
-                    if key not in code_of:
-                        yield codes  # the blocks before the unknown one are valid
-                        raise SpecError(
-                            f"block {key} not discovered within the split horizon {horizon}")
-                    codes.append(code_of[key])
-                    run.clear()
-            yield codes
+            cut = np.flatnonzero(xs == mcode) + 1
+            if not cut.size:
+                rest.append(xs)
+                yield []
+                continue
+            seg = np.concatenate([*rest, xs[:cut[-1]]])
+            rest, cut = [xs[cut[-1]:]], cut + (seg.size - cut[-1])
+            starts = np.concatenate(([0], cut[:-1]))
+            pos = np.repeat(cut - 1, cut - starts) - np.arange(seg.size)  # places from the block end
+            name = np.add.reduceat((seg + 1) * weight[np.minimum(pos, top)], starts)
+            i = np.minimum(np.searchsorted(names, name), names.size - 1)
+            known = (names[i] == name) & (cut - starts <= top)
+            bad = np.flatnonzero(~known)
+            if bad.size:
+                yield order[i[:bad[0]]]  # the blocks before the unknown one are valid
+                key = tuple(seg[starts[bad[0]]:cut[bad[0]]].tolist())
+                raise SpecError(f"block {key} not discovered within the split horizon {horizon}")
+            yield order[i]
 
     prov = Provenance("split", {"of": str(x.provenance), "marker": marker, "horizon": horizon})
     return Sequence.from_chunks(out, chunks(), provenance=prov, horizon_cap=x.horizon_cap)
@@ -338,28 +391,53 @@ class PushdownTransducer:
 
 
 def pushdown_transduce(machine: PushdownTransducer, x: Sequence) -> Sequence:
-    """Straightforward configuration stepping.  No class is preserved and
-    no bound is ever attached; stack machines can leave the well-behaved
-    classes entirely."""
+    """Configuration stepping.  No class is preserved and no bound is ever
+    attached; stack machines can leave the well-behaved classes entirely.
+
+    It stays per symbol: the configurations are unbounded, so no finite
+    table of block maps exists for :func:`run_states`.  A rule is compiled on
+    first use, keyed (top * states + state) * k + code, to (output codes,
+    next state, action): the pushed symbol's number, 0, or -1 for a pop."""
     if machine.input_alphabet != x.alphabet:
         raise SpecError("machine input alphabet does not match the sequence")
-    insyms = x.alphabet.symbols
+    insyms, k = x.alphabet.symbols, len(x.alphabet)
     out = machine.output_alphabet
+    states = list(dict.fromkeys([machine.initial, *(key[0] for key in machine.rules),
+                                 *(rule[1] for rule in machine.rules.values())]))
+    state = {q: i for i, q in enumerate(states)}
+    tops, number, table = [None], {}, {}  # stack symbols by number, 0 the empty stack
+
+    def compile_rule(key, stack):
+        (t, q), c = divmod(key // k, len(states)), key % k
+        emit, nq, action = machine.rule(states[q], insyms[c], tops[t])
+        act = -(action[0] == "pop")
+        if action[0] == "push":
+            act = number.setdefault(action[1], len(tops))
+            if act == len(tops):
+                tops.append(action[1])
+        try:
+            table[key] = tuple(out.index(s) for s in emit), state[nq], act
+        except SpecError:
+            if act < 0 and not stack:
+                raise MachineFault("pop on empty stack") from None
+            raise
+        return table[key]
 
     def chunks():
-        q, stack = machine.initial, []
+        q, stack, n = state[machine.initial], [], len(states)
         for xs in x.chunks():
             codes = []
             try:
                 for c in xs.tolist():
-                    emit, q, action = machine.rule(q, insyms[c], stack[-1] if stack else None)
-                    if action[0] == "push":
-                        stack.append(action[1])
-                    elif action[0] == "pop":
+                    key = ((stack[-1] if stack else 0) * n + q) * k + c
+                    emit, q, act = table.get(key) or compile_rule(key, stack)
+                    if act > 0:
+                        stack.append(act)
+                    elif act:
                         if not stack:
                             raise MachineFault("pop on empty stack")
                         stack.pop()
-                    codes.extend(out.index(s) for s in emit)
+                    codes += emit
             except MachineFault:
                 yield codes  # the steps before the faulting one are valid
                 raise

@@ -242,3 +242,54 @@ def mechanical(alpha, rho, length, upper=False):
     f = ceil if upper else floor
     vals = [f(alpha * n + rho) for n in range(length + 1)]
     return [vals[n + 1] - vals[n] for n in range(length)]
+
+
+def transduce(emit, step, initial, codes):
+    """Output codes of a sequential machine, one input code at a time:
+    emit[(q, c)] is the list of output codes and step[(q, c)] the next
+    state."""
+    q, out = initial, []
+    for c in codes:
+        out.extend(emit[(q, c)])
+        q = step[(q, c)]
+    return out
+
+
+def split(codes, marker, horizon):
+    """(codes, unknown) of the split of the list at the marker: the blocks
+    (marker-free word, then the marker) are numbered in the sorted order of
+    those ending inside the first ``horizon`` codes; the first block is
+    dropped, and ``unknown`` is the first later block not among them (None
+    when every complete block is)."""
+    ends = [i + 1 for i in range(horizon) if codes[i] == marker]
+    kinds = sorted({tuple(codes[a:b]) for a, b in zip([0] + ends, ends)})
+    out, start = [], ends[0]
+    for i in range(start, len(codes)):
+        if codes[i] == marker:
+            block = tuple(codes[start:i + 1])
+            if block not in kinds:
+                return out, block
+            out.append(kinds.index(block))
+            start = i + 1
+    return out, None
+
+
+def pushdown(rules, initial, symbols, out_symbols):
+    """(output codes, fault) of a stack machine stepped one symbol at a
+    time: rules[(state, symbol, top or None)] = (emitted text, next state,
+    ("push", s) | ("pop",) | ("noop",)); ``fault`` is the text of the first
+    missing rule or empty-stack pop, None when there is none."""
+    q, stack, out = initial, [], []
+    for a in symbols:
+        top = stack[-1] if stack else None
+        if (q, a, top) not in rules:
+            return out, f"no rule for state {q!r}, input {a!r}, top {top!r}"
+        emit, q, action = rules[(q, a, top)]
+        if action[0] == "push":
+            stack.append(action[1])
+        elif action[0] == "pop":
+            if not stack:
+                return out, "pop on empty stack"
+            stack.pop()
+        out.extend(out_symbols.index(s) for s in emit)
+    return out, None

@@ -150,6 +150,39 @@ def test_factor_statistics_match_brute_force_past_the_code_width(case):
     assert (rep.value, [w.codes for w in rep.finitely_occurring]) == _brute_regulator(codes, n)
 
 
+@st.composite
+def _factor_word_cases(draw):
+    """A sequence over 2-4 letters, random (a period as long as the
+    horizon) or eventually periodic, and a factor length; both regulators
+    apply to the eventually periodic ones, which carry a bound."""
+    k = draw(st.integers(2, 4))
+    letters = Alphabet.of(*range(k))
+    n = draw(st.integers(1, 6))
+    word = st.lists(st.integers(0, k - 1), min_size=1, max_size=40).map(
+        lambda codes: Word(letters, tuple(codes)))
+    if draw(st.booleans()):
+        codes = draw(st.lists(st.integers(0, k - 1), min_size=4 * n, max_size=300))
+        return G.periodic(Word(letters, tuple(codes))), n, len(codes)
+    return G.eventually_periodic(draw(word), draw(word)), n, draw(st.integers(4 * n, 300))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_factor_word_cases())
+def test_finitely_occurring_words_are_built_when_read(case):
+    x, n, h = case
+    reports = [A.empirical_regulator(x, n, h)]
+    if x.provenance.family == "eventually_periodic":
+        reports.append(A.certified_regulator(x, n))
+    for words in (rep.finitely_occurring for rep in reports):
+        eager = [A._factor_word(x, int(s), n) for s in words.starts]
+        assert len(words) == len(eager) and list(words) == eager and words == eager
+        assert (words == []) == (eager == []) and words != eager + [x.prefix(n)]
+        assert words[1:] == eager[1:] and words[::-2] == eager[::-2] and words[:0] == []
+        if eager:
+            assert words[0] == eager[0] and words[-1] == eager[-1]
+            assert sorted(w.codes for w in words) == [w.codes for w in eager]
+
+
 def test_large_n_path_runs_only_past_the_code_width(monkeypatch, kolak, x5):
     # the benchmark's analysis.large_n_s times the calls reaching this name;
     # kolakoski n=64 and the k=5 witness n=30 are its large-n jobs

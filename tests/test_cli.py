@@ -6,6 +6,8 @@ import json
 import os
 import re
 import signal
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -151,6 +153,14 @@ def test_gen_more_families():
     assert out.strip() == "010101"
 
 
+def test_gen_morphic_coding_onto_new_letters():
+    spec = "morphic rules=0:01,1:10 seed=0 coding=0:a,1:b"
+    assert run(["gen", "--spec", spec, "--n", "8"]) == (0, "abbabaab\n", "")
+    code, out, err = run(["gen", "--spec", "morphic rules=0:01,1:10 seed=0 coding=0:a",
+                          "--n", "8"])
+    assert (code, out, err) == (2, "", "error: morphism missing image for '1'\n")
+
+
 # -- exit codes -------------------------------------------------------------------
 
 
@@ -227,6 +237,32 @@ def test_analyze_powers_rows_are_not_held_twice():
     assert code == 0
     assert sink.digest.hexdigest().startswith("adaad67cefeca91f")
     assert peak < 14e6
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_analyze_powers_rows_stream_in_a_child_process():
+    # every square in 3000 zeros: 2,250,000 rows, all in one block of periods;
+    # holding detect_powers' list peaked at 344 MB.  The peak is the child's
+    # VmHWM: its ru_maxrss starts at the forking test process's size.
+    probe = ("import contextlib, hashlib\n"
+             "from apseq.cli import main\n"
+             "class Sink:\n"
+             "    digest = hashlib.sha256()\n"
+             "    def write(self, text):\n"
+             "        self.digest.update(text.encode())\n"
+             "    def flush(self):\n"
+             "        pass\n"
+             "with contextlib.redirect_stdout(Sink()):\n"
+             "    code = main(['analyze', '--spec', 'periodic period=0', '--metric', 'powers',\n"
+             "                 '--horizon', '3000'])\n"
+             "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM')]\n"
+             "print(code, Sink.digest.hexdigest(), int(hwm[0].split()[1]) / 1024)\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    code, digest, peak_mb = done.stdout.split()
+    assert code == "0" and digest.startswith("bf6f31b61ee340c8")
+    assert float(peak_mb) < 100
 
 
 def test_analyze_powers_limit_zero_and_negative():

@@ -1,12 +1,16 @@
 import random
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from apseq import analysis as A
 from apseq import generators as G
 from apseq import transforms as T
-from apseq.core import Alphabet, agreement_length
+from apseq.core import _CHUNK, Alphabet, Word, agreement_length
 from apseq.errors import HorizonExhausted, MachineFault, MachineParseError, SpecError
 
 B = Alphabet.binary()
@@ -302,6 +306,116 @@ def test_split_unknown_block_after_valid_ones():
         with pytest.raises(SpecError):
             s.prefix(5001)
     assert list(s.prefix(5000)) == ["10"] * 5000
+
+
+# -- chunk kernels against per-symbol references ----------------------------------------------
+
+LONG = 3 * _CHUNK + 1000  # input codes read: several store chunks
+
+
+def _input(rng, k, n):
+    """n codes over k letters: stretches of repeated short blocks with a
+    few letters changed, so that later stretches hold blocks and machine
+    configurations that earlier ones lack."""
+    codes = []
+    while len(codes) < n:
+        block = [rng.randrange(k) for _ in range(rng.randint(1, 12))]
+        codes += block * rng.randint(1, 2000 // len(block) + 1)
+    codes = codes[:n]
+    for _ in range(rng.randint(0, 20)):
+        codes[rng.randrange(n)] = rng.randrange(k)
+    return codes
+
+
+def _capped(codes, k):
+    """The sequence that starts with the codes, readable no further."""
+    x = G.periodic(Word(Alphabet.of(*range(k)), tuple(codes)))
+    x.horizon_cap = len(codes)
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 300), st.integers(0, 20), st.booleans())
+def test_run_states_matches_a_per_symbol_run(seed, n, block, visits):
+    rng = random.Random(seed)
+    m, k = rng.randint(1, 6), rng.randint(1, 4)
+    table = np.array([[rng.randrange(m) * k for _ in range(k)] for _ in range(m)], dtype=np.intp)
+    codes = np.array([rng.randrange(k) for _ in range(n)], dtype=np.int64)
+    q = start = rng.randrange(m) * k
+    want = []
+    for c in codes.tolist():
+        want.append(q)
+        q = int(table[q // k, c])
+    before, end = T.run_states(table, start, codes, block, visits)
+    assert end == q
+    assert before is None and not visits or before.tolist() == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(2, 4), st.integers(1, 6), st.booleans())
+def test_transduce_matches_the_per_symbol_reference(seed, k, m, uniform):
+    rng = random.Random(seed)
+    out = Alphabet.of(*"abc"[:rng.randint(1, 3)])
+    states = tuple(f"s{i}" for i in range(m))
+    emit = {(q, c): [rng.randrange(len(out)) for _ in range(1 if uniform else rng.randint(0, 3))]
+            for q in states for c in range(k)}
+    step = {(q, c): rng.choice(states) for q in states for c in range(k)}
+    machine = T.Transducer(Alphabet.of(*range(k)), out, states, states[0],
+                           {(q, str(c)): Word(out, tuple(w)) for (q, c), w in emit.items()},
+                           {(q, str(c)): q2 for (q, c), q2 in step.items()})
+    codes = _input(rng, k, LONG)
+    want = oracles.transduce(emit, step, states[0], codes)[:LONG]
+    assert T.transduce(machine, _capped(codes, k)).codes(len(want))[:len(want)] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(2, 4))
+def test_split_matches_the_per_symbol_reference(seed, k):
+    rng = random.Random(seed)
+    codes = _input(rng, k, LONG)
+    marker, horizon = rng.randrange(k), rng.randint(1, LONG)
+    if codes[:horizon].count(marker) < 2:
+        with pytest.raises(SpecError, match="does not cut twice"):
+            T.split(_capped(codes, k), str(marker), horizon)
+        return
+    want, unknown = oracles.split(codes, marker, horizon)
+    s = T.split(_capped(codes, k), str(marker), horizon)
+    assert s.codes(len(want))[:len(want)] == want
+    if unknown is not None:  # the blocks before it are served, then the same error every time
+        for _ in range(2):
+            with pytest.raises(SpecError, match=re.escape(f"block {unknown} not discovered")):
+                s.codes(len(want) + 1)
+        assert s.codes(len(want))[:len(want)] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(2, 3), st.integers(1, 3), st.booleans())
+def test_pushdown_matches_the_per_symbol_reference(seed, k, m, total):
+    # a total machine never pops the empty stack nor misses a rule; the
+    # others fault, mostly within the first chunk
+    rng = random.Random(seed)
+    inp, out = Alphabet.of(*range(k)), Alphabet.of("x", "y")
+    states = tuple(f"s{i}" for i in range(m))
+    rules = {}
+    for q in states:
+        for a in inp:
+            for top in (None, "A", "B"):
+                if total or rng.random() < 0.97:
+                    acts = [("push", "A"), ("push", "B"), ("noop",)]
+                    acts += [("pop",)] if top or not total else []
+                    rules[(q, a, top)] = ("".join(rng.choice("xy") for _ in range(rng.randint(0, 2))),
+                                          rng.choice(states), rng.choice(acts))
+    pd = T.PushdownTransducer(inp, out, states, states[0], ("A", "B"), rules)
+    codes = _input(rng, k, LONG)
+    want, fault = oracles.pushdown(rules, states[0], [str(c) for c in codes], out.symbols)
+    run = T.pushdown_transduce(pd, _capped(codes, k))
+    n = min(len(want), LONG)
+    assert run.codes(n)[:n] == want[:n]
+    if fault is not None and len(want) < LONG:
+        for _ in range(2):
+            with pytest.raises(MachineFault, match=re.escape(fault)):
+                run.codes(n + 1)
+        assert run.codes(n)[:n] == want
 
 
 # -- bound formulas ------------------------------------------------------------------------
