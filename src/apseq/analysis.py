@@ -28,7 +28,7 @@ import numpy as np
 from .core import Segment, Sequence, Word
 from .errors import HorizonExhausted, SpecError
 
-_POWER_BLOCK = 1 << 16      # detect_powers: samples lifted together, and about the output made together
+_POWER_BLOCK = 1 << 16      # detect_powers: samples lifted, and about occurrences made, together
 
 # glibc maps each block of 128 KB or more afresh, faulting in every page, until its
 # dynamic threshold happens to pass the block's size; the factor kernels' horizon-sized

@@ -339,7 +339,7 @@ def split(x: Sequence, marker: str, horizon: int) -> Sequence:
             seg = np.concatenate([*rest, xs[:cut[-1]]])
             rest, cut = [xs[cut[-1]:]], cut + (seg.size - cut[-1])
             starts = np.concatenate(([0], cut[:-1]))
-            pos = np.repeat(cut - 1, cut - starts) - np.arange(seg.size)  # places from the block end
+            pos = np.repeat(cut - 1, cut - starts) - np.arange(seg.size)  # places to the block end
             name = np.add.reduceat((seg + 1) * weight[np.minimum(pos, top)], starts)
             i = np.minimum(np.searchsorted(names, name), names.size - 1)
             known = (names[i] == name) & (cut - starts <= top)

@@ -403,8 +403,8 @@ def test_pushdown_matches_the_per_symbol_reference(seed, k, m, total):
                 if total or rng.random() < 0.97:
                     acts = [("push", "A"), ("push", "B"), ("noop",)]
                     acts += [("pop",)] if top or not total else []
-                    rules[(q, a, top)] = ("".join(rng.choice("xy") for _ in range(rng.randint(0, 2))),
-                                          rng.choice(states), rng.choice(acts))
+                    emit = "".join(rng.choice("xy") for _ in range(rng.randint(0, 2)))
+                    rules[(q, a, top)] = (emit, rng.choice(states), rng.choice(acts))
     pd = T.PushdownTransducer(inp, out, states, states[0], ("A", "B"), rules)
     codes = _input(rng, k, LONG)
     want, fault = oracles.pushdown(rules, states[0], [str(c) for c in codes], out.symbols)
