@@ -596,10 +596,77 @@ def test_cli_output_matches_its_golden_file(tmp_path):
     assert [k for k in want if got[k] != want[k]] == []
 
 
+# One command per analyze metric and option shape, the transducer's bound
+# line and a few faults (a later row raising, a missing option, the tiling
+# search's length guard).  A leading NAME=value sets the environment.
+METRIC_COMMANDS = [
+    "analyze --metric complexity --n-max 6 --horizon 500 --spec fibonacci",
+    "analyze --metric complexity --n-max 5 --horizon 300 --spec thue_morse",
+    "analyze --metric regulator --n-max 5 --horizon 2000 --spec thue_morse",
+    "analyze --metric regulator --n-max 4 --horizon 2000 --spec eventually_periodic pre=1 period=0",
+    "analyze --metric regulator --certified --n-max 5 --spec thue_morse",
+    "analyze --metric regulator --certified --n-max 3 --spec fibonacci",
+    "APSEQ_HORIZON_CAP=400 analyze --metric regulator --certified --n-max 8 --spec thue_morse",
+    "analyze --metric prefix-regulator --n-max 5 --horizon 2000 --spec fibonacci",
+    "analyze --metric rd --n-max 5 --horizon 2000 --spec thue_morse",
+    "analyze --metric balance --n-max 6 --horizon 2000 --spec fibonacci",
+    "analyze --metric balance --n-max 6 --horizon 2000 --spec thue_morse",
+    "analyze --metric powers --kind square --horizon 200 --limit 40 --spec thue_morse",
+    "analyze --metric powers --kind cube --horizon 300 --max-period 8 --spec fibonacci",
+    "analyze --metric powers --kind overlap --horizon 100 --limit 25 --spec periodic period=01",
+    "analyze --metric powers --kind cube --horizon 400 --spec thue_morse",
+    "analyze --metric am --shifts 6 --horizon 2000 --spec thue_morse",
+    "analyze --metric frequency --block 01 --i 3 --j 900 --horizon 1000 --spec thue_morse",
+    "analyze --metric frequency --block 1 --horizon 700 --spec fibonacci",
+    "analyze --metric frequency --horizon 100 --spec thue_morse",
+    "analyze --metric entropy --n-max 5 --horizon 3000 --spec thue_morse",
+    "analyze --metric quasiperiods --length 13 --spec fibonacci",
+    "analyze --metric quasiperiods --length 7 --spec periodic period=aba",
+    "analyze --metric tiling --length 8 --spec thue_morse",
+    "analyze --metric tiling --length 12 --spec periodic period=0011",
+    "analyze --metric tiling --length 8 --pattern 0_1 --spec periodic period=0011",
+    "analyze --metric tiling --length 8 --pattern 0□1 --spec periodic period=0011",
+    "analyze --metric tiling --length 8 --pattern 01 --spec thue_morse",
+    "analyze --metric tiling --length 33 --spec thue_morse",
+    "analyze --metric screen --horizon 500 --spec eventually_periodic pre=1 period=0",
+    "analyze --metric screen --horizon 500 --n-max 6 --spec thue_morse",
+    "transduce --machine {dir}/identity --n 16 --emit-bound --spec thue_morse",
+    "transduce --machine {dir}/identity --n 16 --emit-bound --spec fibonacci",
+]
+METRICS_FILE = ROOT / "tests" / "golden" / "cli" / "metrics.json"
+
+
+def metrics_matrix(folder) -> dict:
+    """"command" -> [exit code, stdout, stderr] for METRIC_COMMANDS."""
+    (Path(folder) / "identity").write_text(IDENTITY)
+    saved, got = os.environ.pop("APSEQ_HORIZON_CAP", None), {}
+    try:
+        for command in METRIC_COMMANDS:
+            options, spec = command.format(dir=folder).split(" --spec ")
+            argv = options.split()
+            if "=" in argv[0]:
+                os.environ.update([argv.pop(0).split("=", 1)])
+            got[command] = list(run(argv + ["--spec", spec]))
+            os.environ.pop("APSEQ_HORIZON_CAP", None)
+    finally:
+        if saved is not None:
+            os.environ["APSEQ_HORIZON_CAP"] = saved
+    return got
+
+
+def test_metric_output_matches_its_golden_file(tmp_path):
+    want = json.loads(METRICS_FILE.read_text(encoding="utf-8"))
+    got = metrics_matrix(tmp_path)
+    assert sorted(got) == sorted(want)
+    assert [k for k in want if got[k] != want[k]] == []
+
+
 if __name__ == "__main__":
-    # re-records the golden file: PYTHONPATH=src python tests/test_cli.py
+    # re-records the golden files: PYTHONPATH=src python tests/test_cli.py
     import tempfile
     with tempfile.TemporaryDirectory() as folder:
         GOLDEN_FILE.parent.mkdir(exist_ok=True)
         GOLDEN_FILE.write_text(json.dumps(cli_matrix(folder), indent=1, sort_keys=True) + "\n",
                                encoding="utf-8")
+        METRICS_FILE.write_text(json.dumps(metrics_matrix(folder), indent=1, sort_keys=True)
+                                + "\n", encoding="utf-8")
