@@ -79,8 +79,6 @@ def main():
     bf = T.bound_formulas(lambda n: n + 1, 2)
     print(f"g(n)=n+1, m=2: image bound at n=5 is {bf['image'](5)}; "
           f"reversible {bf['reversible'](5)}; prefix budget {bf['prefix']}")
-    lin = T.bound_formulas(lambda n: 2 * n, 1, linear_coefficient=2)["linear"]
-    print(f"linear g(n)=2n, m=1: {lin(1)}, {lin(7)}")
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ import numpy as np
 
 from .core import Segment, Sequence, Word
 from .errors import HorizonExhausted, SpecError
+from .generators import pattern_slots, pattern_text, thue_morse  # noqa: F401 (re-exported)
 
 _POWER_BLOCK = 1 << 16      # detect_powers: samples lifted, and about occurrences made, together
 
@@ -524,14 +525,14 @@ def frequency(x: Sequence, u: Word, i: int, j: int) -> FrequencyReport:
     return FrequencyReport(u, (i, j), count, Fraction(count, j - i + 1))
 
 
-def cesaro_estimate(x: Sequence, u: Word, horizon: int, points: int = 20) -> list:
-    """Sampled starting-average densities on a geometric grid t <= horizon;
-    returns a list of (t, density) pairs."""
+def cesaro_estimate(x: Sequence, u: Word, horizon: int) -> list:
+    """Sampled starting-average densities on a 20-point geometric grid
+    t <= horizon; returns a list of (t, density) pairs."""
     if horizon < 2:
         raise SpecError("horizon too small")
     hits = _occurrence_hits(x, u, horizon)
     cum = np.cumsum(hits)
-    ts = sorted({int(round(horizon ** (i / (points - 1)))) for i in range(points)} | {horizon})
+    ts = sorted({int(round(horizon ** (i / 19))) for i in range(20)} | {horizon})
     return [(t, Fraction(int(cum[t - 1]), t)) for t in ts if t >= 1]
 
 
@@ -566,11 +567,7 @@ def quasiperiods(w: Word) -> QuasiperiodReport:
 def _pattern_slots(pattern, alphabet) -> tuple:
     """Normalize a cover pattern to a tuple of symbol codes with None at
     holes, trimmed of leading/trailing holes (they carry no footprint)."""
-    from .generators import HOLE_CHARS
-    if isinstance(pattern, str):
-        slots = [None if c in HOLE_CHARS else alphabet.index(c) for c in pattern]
-    else:
-        slots = list(pattern)
+    slots = list(pattern_slots(pattern, alphabet) if isinstance(pattern, str) else pattern)
     while slots and slots[0] is None:
         slots.pop(0)
     while slots and slots[-1] is None:
@@ -600,13 +597,13 @@ def is_tiling_period(u: Word, pattern) -> bool:
     return True
 
 
-def tiling_periods(u: Word, max_len: int = 32) -> list:
+def tiling_periods(u: Word) -> list:
     """All patterns whose translated copies tile the word exactly
-    (exhaustive search; |u| <= max_len).  Patterns are returned as slot
+    (exhaustive search; |u| <= 32).  Patterns are returned as slot
     tuples, shortest footprint first, the word itself included last."""
     m = len(u)
-    if m > max_len:
-        raise SpecError(f"exhaustive tiling search is capped at length {max_len}")
+    if m > 32:
+        raise SpecError("exhaustive tiling search is capped at length 32")
     results = []
 
     def search(offsets, shifts, covered, remaining):
@@ -634,10 +631,6 @@ def tiling_periods(u: Word, max_len: int = 32) -> list:
     return uniq
 
 
-def pattern_text(slots: tuple, alphabet) -> str:
-    return "".join("_" if s is None else alphabet.symbols[s] for s in slots)
-
-
 # -- multigrade partition --------------------------------------------------------
 
 
@@ -646,7 +639,6 @@ def prouhet_partition(n: int) -> ProuhetReport:
     both power-sum vectors for exponents 0 .. n-1."""
     if n < 1:
         raise SpecError("need n >= 1")
-    from .generators import thue_morse
     tm = thue_morse("digit_sum")
     codes = tm.prefix_array(2 ** n)
     zeros = np.flatnonzero(codes == 0).tolist()

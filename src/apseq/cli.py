@@ -76,12 +76,6 @@ def _as_int(name: str, value: str) -> int:
         raise SpecError(f"{name}={value!r} is not an integer") from None
 
 
-def _parse_real(text: str):
-    if text == "invphi2":
-        return G.inv_golden_sq()
-    return G.RealParam.of(text)
-
-
 def _parse_rules(text: str, alphabet=None, coding=False):
     """Morphism rules "a:word,b:word" over single-character symbols, from the
     alphabet (default: every letter named) onto itself, or onto the image letters."""
@@ -184,7 +178,8 @@ FAMILIES = {
     "thue_morse": lambda s, seed: G.thue_morse(s.pop("definition", "recurrence")),
     "fibonacci": lambda s, seed: G.fibonacci(),
     "mechanical": lambda s, seed: G.mechanical(
-        _parse_real(s.require("alpha")), _parse_real(s.require("rho")), s.pop("variant", "lower")),
+        G.RealParam.of(s.require("alpha")), G.RealParam.of(s.require("rho")),
+        s.pop("variant", "lower")),
     "morphic": _morphic,
     "automatic": lambda s, seed: G.automatic(parse_dfao_file(s.require("file"))),
     "block_product": _block_product,
@@ -200,6 +195,7 @@ FAMILIES = {
     "progression_rewrite": _progression_rewrite,
     "aperiodicity_witness": lambda s, seed: G.aperiodicity_witness(s.require_int("k")),
 }
+SPEC_HELP = "a sequence spec 'family key=value ...'; families: " + ", ".join(FAMILIES)
 
 
 def _capped(seq: Sequence) -> Sequence:
@@ -294,7 +290,8 @@ def cmd_decide(args) -> int:
     return 0
 
 
-def _analyze_rows(args, x: Sequence):
+def _analyze_slices(args, x: Sequence):
+    """CSV text slices; the list metrics make every row before returning."""
     metric = args.metric
     h = args.horizon
     rows = []
@@ -327,9 +324,10 @@ def _analyze_rows(args, x: Sequence):
                      "balanced" if rep.balanced else "violation", h))
     elif metric == "powers":
         blocks = A.power_blocks(x, h, args.kind, max_period=args.max_period, limit=args.limit)
-        # made an array pair at a time as printed; power_blocks raises before the first row
-        return ((f"powers-{args.kind}", pos, ulen, "occurrence", h)
-                for p, u in blocks for pos, ulen in zip(p.tolist(), u.tolist()))
+        # a slice per array pair, made as written; power_blocks raises before the first row
+        name = f"powers-{args.kind}"
+        return ("".join(f"{name},{pos},{ulen},occurrence,{h}\n"
+                        for pos, ulen in zip(p.tolist(), u.tolist())) for p, u in blocks)
     elif metric == "am":
         rep = A.am_estimate(x, args.shifts, h)
         for s in sorted(rep.per_shift):
@@ -371,15 +369,15 @@ def _analyze_rows(args, x: Sequence):
             rows.append(("screen", rep.preperiod if rep.confirmed else "",
                          rep.period if rep.confirmed else 0,
                          "confirmed" if rep.confirmed else "triggered", h))
-    return rows
+    return ["".join(f"{m},{p},{_fmt(v)},{k},{hz}\n" for m, p, v, k, hz in rows)]
 
 
 def cmd_analyze(args) -> int:
     x = build_sequence(SequenceSpec.parse(args.spec), seed=args.seed)
-    rows = _analyze_rows(args, x)
+    slices = _analyze_slices(args, x)
     print(CSV_HEADER)
-    for metric, param, value, kind, horizon in rows:
-        print(f"{metric},{param},{_fmt(value)},{kind},{horizon}")
+    for text in slices:
+        sys.stdout.write(text)
     return 0
 
 
@@ -401,12 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="print a prefix of a sequence")
-    g.add_argument("--spec", required=True)
+    g.add_argument("--spec", required=True, help=SPEC_HELP)
     g.add_argument("--n", type=int, required=True)
     g.set_defaults(fn=cmd_gen)
 
     a = sub.add_parser("analyze", help="run a metric, emit CSV rows")
-    a.add_argument("--spec", required=True)
+    a.add_argument("--spec", required=True, help=SPEC_HELP)
     a.add_argument("--metric", required=True,
                    choices=["complexity", "regulator", "prefix-regulator", "rd",
                             "balance", "powers", "am", "frequency", "entropy",
@@ -427,24 +425,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("transduce", help="apply a sequential machine file")
     t.add_argument("--machine", required=True)
-    t.add_argument("--spec", required=True)
+    t.add_argument("--spec", required=True, help=SPEC_HELP)
     t.add_argument("--n", type=int, required=True)
     t.add_argument("--emit-bound", action="store_true")
     t.set_defaults(fn=cmd_transduce)
 
     d = sub.add_parser("decide", help="decide acceptance of a deterministic acceptor")
     d.add_argument("--automaton", required=True)
-    d.add_argument("--spec", required=True)
+    d.add_argument("--spec", required=True, help=SPEC_HELP)
     d.set_defaults(fn=cmd_decide)
 
     c = sub.add_parser("compare", help="agreement and mismatch density of two specs")
-    c.add_argument("--spec-a", required=True)
-    c.add_argument("--spec-b", required=True)
+    c.add_argument("--spec-a", required=True, help=SPEC_HELP)
+    c.add_argument("--spec-b", required=True, help=SPEC_HELP)
     c.add_argument("--horizon", type=int, default=10**4)
     c.set_defaults(fn=cmd_compare)
 
     s = sub.add_parser("spec", help="validate a spec and print its canonical form")
-    s.add_argument("--spec", required=True)
+    s.add_argument("--spec", required=True, help=SPEC_HELP)
     s.set_defaults(fn=cmd_spec)
     return p
 
@@ -474,3 +472,7 @@ def main(argv=None) -> int:
 
 def console() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console()

@@ -181,8 +181,11 @@ class RealParam:
 
     @staticmethod
     def of(value) -> "RealParam":
+        """An int, Fraction or "p/q" as an exact rational; "invphi2" as inv_golden_sq()."""
         if isinstance(value, RealParam):
             return value
+        if value == "invphi2":
+            return inv_golden_sq()
         if isinstance(value, str):
             try:
                 num, den = value.split("/") if "/" in value else (value, 1)
@@ -330,6 +333,8 @@ class Morphism:
                 raise SpecError(f"image of {a!r} is not over the target alphabet")
             if len(img) == 0 and not self.erasing_ok:
                 raise SpecError(f"erasing image for {a!r} (pass erasing_ok=True to allow)")
+        if stray := [a for a in self.images if a not in self.source]:
+            raise SpecError(f"morphism has an image for {stray[0]!r}, not in its source alphabet")
 
     @staticmethod
     def from_rules(source: Alphabet, target: Alphabet, rules: dict, erasing_ok=False) -> "Morphism":
@@ -345,10 +350,6 @@ class Morphism:
     def uniform_length(self) -> int | None:
         lengths = {len(self.images[a]) for a in self.source}
         return lengths.pop() if len(lengths) == 1 else None
-
-    @property
-    def is_coding(self) -> bool:
-        return self.uniform_length == 1
 
     def image_codes(self) -> list:
         """Image of each source code as a tuple of target codes."""
@@ -391,7 +392,7 @@ def morphic(phi: Morphism, seed: str, coding: Morphism | None = None) -> Sequenc
     if not degenerate and all(b in mortal for b in list(img)[1:]):
         raise SpecError("image collapse: the fixed point of phi is a finite word")
     if coding is not None:
-        if not coding.is_coding:
+        if coding.uniform_length != 1:
             raise SpecError("the recoding morphism must be 1-uniform")
         if coding.source != phi.source:
             raise SpecError("recoding source alphabet mismatch")
@@ -941,6 +942,15 @@ def scheme_generate(scheme, mode: str = "AP", policy="lex", seed=None,
 HOLE_CHARS = ("_", "□")
 
 
+def pattern_slots(text: str, alphabet: Alphabet) -> tuple:
+    """The symbol codes of a hole pattern's text, None at each hole."""
+    return tuple(None if c in HOLE_CHARS else alphabet.index(c) for c in text)
+
+
+def pattern_text(slots: tuple, alphabet: Alphabet) -> str:
+    return "".join("_" if s is None else alphabet.symbols[s] for s in slots)
+
+
 @dataclass(frozen=True)
 class ToeplitzPattern:
     """A word over alphabet + hole.  ``slots`` holds symbol codes with None
@@ -959,16 +969,13 @@ class ToeplitzPattern:
             raise SpecError("pattern must start with a symbol, not a hole")
 
     @staticmethod
-    def from_text(text: str, alphabet: Alphabet | None = None) -> "ToeplitzPattern":
-        syms = [c for c in text if c not in HOLE_CHARS]
-        if alphabet is None:
-            alphabet = Alphabet(tuple(sorted(set(syms))))
-        slots = tuple(None if c in HOLE_CHARS else alphabet.index(c) for c in text)
-        return ToeplitzPattern(alphabet, slots)
+    def from_text(text: str) -> "ToeplitzPattern":
+        alphabet = Alphabet(tuple(sorted(set(text) - set(HOLE_CHARS))))
+        return ToeplitzPattern(alphabet, pattern_slots(text, alphabet))
 
     @property
     def text(self) -> str:
-        return "".join("_" if s is None else self.alphabet.symbols[s] for s in self.slots)
+        return pattern_text(self.slots, self.alphabet)
 
 
 def toeplitz(pattern: ToeplitzPattern) -> Sequence:

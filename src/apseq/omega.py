@@ -292,14 +292,12 @@ def parity_of_ones_automaton() -> MullerAutomaton:
                            frozenset({frozenset({"even", "odd"})}))
 
 
-def cycle_counter_automaton(alphabet: Alphabet, m: int,
-                            accepting=None) -> MullerAutomaton:
-    """m states cycling on every input symbol; accepting family defaults
-    to the full cycle."""
+def cycle_counter_automaton(alphabet: Alphabet, m: int) -> MullerAutomaton:
+    """m states cycling on every input symbol, accepting the full cycle."""
     states = tuple(f"c{i}" for i in range(m))
     delta = {(states[i], a): states[(i + 1) % m] for i in range(m) for a in alphabet}
-    acc = accepting if accepting is not None else frozenset({frozenset(states)})
-    return MullerAutomaton(alphabet, states, states[0], delta, acc)
+    return MullerAutomaton(alphabet, states, states[0], delta,
+                           frozenset({frozenset(states)}))
 
 
 def sink_automaton(alphabet: Alphabet) -> MullerAutomaton:

@@ -120,15 +120,14 @@ def apply_morphism(phi: Morphism, x: Sequence) -> Sequence:
 # -- transduction ----------------------------------------------------------------
 
 
-def bound_formulas(g, m: int, linear_coefficient=None) -> dict:
+def bound_formulas(g, m: int) -> dict:
     """The window formulas for an m-state machine applied to a sequence
     with regulator bound g:
 
     * ``image``: h(h(n)) with h = (g+1) composed m times, minus 1;
     * ``reversible``: h(n) alone (letters acting bijectively on states);
     * ``prefix``: g(1) + g(g(1)) + ... iterated m times and summed, a
-      bound on the prefix after which the image is uniformly recurrent;
-    * ``linear`` (when g(n) = C*n): C^(2m)*n + C^(2m-1) + ... + C + 1.
+      bound on the prefix after which the image is uniformly recurrent.
     """
     if m < 1:
         raise SpecError("need at least one state")
@@ -149,13 +148,6 @@ def bound_formulas(g, m: int, linear_coefficient=None) -> dict:
         t = g(t)
         total += t
     out["prefix"] = total
-    if linear_coefficient is not None:
-        c = linear_coefficient
-
-        def lin(n):
-            return c**(2 * m) * n + sum(c**j for j in range(2 * m))
-
-        out["linear"] = Bound(lin, f"linear window, C={c}, m={m}")
     return out
 
 
@@ -489,19 +481,16 @@ def print_transducer(machine: Transducer) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_transducer(text: str, input_alphabet: Alphabet | None = None,
-                     output_alphabet: Alphabet | None = None) -> Transducer:
-    """Parse the text format; alphabets default to the symbols seen."""
+def parse_transducer(text: str) -> Transducer:
+    """Parse the text format.  The input alphabet is the symbols read, the
+    output alphabet the symbols emitted (the input's when nothing is)."""
     head, arcs = read_records(text, {"states": str.split, "start": str}, "q a -> w q2",
                               MachineParseError)
     if not {"states", "start"} <= head.keys():
         raise MachineParseError("missing states: or start: header")
-    in_syms = sorted({a for (_q, a, _w, _q2) in arcs})
-    if input_alphabet is None:
-        input_alphabet = Alphabet(tuple(in_syms))
+    input_alphabet = Alphabet(tuple(sorted({a for (_q, a, _w, _q2) in arcs})))
     out_syms = sorted({c for (_q, _a, w, _q2) in arcs if w != "-" for c in w})
-    if output_alphabet is None:
-        output_alphabet = Alphabet(tuple(out_syms)) if out_syms else input_alphabet
+    output_alphabet = Alphabet(tuple(out_syms)) if out_syms else input_alphabet
     emit, step = {}, {}
     for q, a, w, q2 in arcs:
         emit[(q, a)] = output_alphabet.word("" if w == "-" else w)

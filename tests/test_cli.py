@@ -161,6 +161,28 @@ def test_gen_morphic_coding_onto_new_letters():
     assert (code, out, err) == (2, "", "error: morphism missing image for '1'\n")
 
 
+def test_gen_morphic_rejects_an_image_for_a_letter_outside_the_source():
+    spec = "morphic rules=0:01,1:10 seed=0 coding=0:a,1:b,2:c"
+    assert run(["gen", "--spec", spec, "--n", "8"]) == (
+        2, "", "error: morphism has an image for '2', not in its source alphabet\n")
+    with pytest.raises(SpecError, match="'x'"):
+        G.Morphism.from_rules(G.BINARY, G.BINARY, {"0": "01", "1": "10", "x": "0"})
+
+
+def test_gen_help_names_every_family(capsys):
+    with pytest.raises(SystemExit):
+        main(["gen", "--help"])
+    assert set(cli.FAMILIES) <= set(re.findall(r"\w+", capsys.readouterr().out))
+
+
+def test_cli_runs_as_a_module():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "apseq.cli", "gen", "--spec", "thue_morse",
+                           "--n", "8"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert (done.returncode, done.stdout) == (0, "01101001\n")
+
+
 # -- exit codes -------------------------------------------------------------------
 
 

@@ -428,9 +428,6 @@ def test_bound_formula_examples():
     assert bf["reversible"](5) == 8
     # three states: g^3(1) + g^2(1) + g(1) = 4 + 3 + 2
     assert T.bound_formulas(lambda n: n + 1, 3)["prefix"] == 9
-    # linear: C = 2, one state: 4n + 3
-    lin = T.bound_formulas(lambda n: 2 * n, 1, linear_coefficient=2)["linear"]
-    assert lin(1) == 7 and lin(10) == 43
     with pytest.raises(SpecError):
         T.bound_formulas(lambda n: n - 1, 1)["image"](4)
 
