@@ -236,11 +236,12 @@ class Sequence:
     number of codes filled) and a target length, and must append codes
     with ``store.extend(codes)`` until the store reaches at least that
     length; it is called under the sequence lock.  Only :meth:`from_chunks`
-    builds one, from a generator that keeps its state in its locals, itself
-    or for :meth:`from_index_fn` (a vector oracle: int64 index array ->
-    code array).  The same index always yields the same symbol.  A stream
-    whose generator raised stays failed: later reads that need new codes
-    raise the same class again.
+    builds one, from a generator that keeps its state in its locals (the
+    recurrences, fixed points, schemes and machine transforms), itself or
+    for :meth:`from_index_fn` (a vector oracle: int64 index array -> code
+    array; the families computed position by position).  The same index
+    always yields the same symbol.  A stream whose generator raised stays
+    failed: later reads that need new codes raise the same class again.
     """
 
     def __init__(self, alphabet: Alphabet, extend, *, bound: Optional[Bound] = None,
@@ -257,7 +258,8 @@ class Sequence:
     @staticmethod
     def from_index_fn(alphabet, fn, **kw) -> "Sequence":
         """Sequence from a total vector oracle: ``fn`` maps an int64 array
-        of indices to the array of their symbol codes.
+        of indices to the array of their symbol codes (periodic, digit-sum,
+        automatic and mechanical words, progression rewrites, pair products).
 
         The oracle sees consecutive blocks of indices.  When it raises an
         :class:`ApseqError` on a block, the block is read again one index at

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import _CHUNK, Alphabet, Bound, Provenance, Sequence, Word
-from .errors import ApseqError, GenerationStuck, HorizonExhausted, PrecisionExhausted, SpecError
+from .errors import GenerationStuck, HorizonExhausted, PrecisionExhausted, SpecError
 
 BINARY = Alphabet.binary()
 
@@ -272,39 +272,28 @@ def mechanical(alpha, rho, variant: str = "lower") -> Sequence:
         raise SpecError("intercept must lie in [0, 1)")
     upper = variant == "upper"
 
-    def floors(n: np.ndarray):
-        """The exact values at the block n, and None; or, when a position
-        cannot be resolved, the values before it and the error."""
+    def floors(n: np.ndarray) -> np.ndarray:
+        """The exact values at the block n; raises PrecisionExhausted (or the
+        oracle's error) when a position cannot be resolved."""
         f, todo = np.empty_like(n), np.arange(n.size)  # todo: the positions not yet resolved
         eps = Fraction(1, 1 << (int(n[-1]).bit_length() + 20))
         for _ in range(_REFINE_BUDGET + 1):
-            try:
-                (alo, ahi), (rlo, rhi) = alpha.enclosure(eps), rho.enclosure(eps)
-            except ApseqError as e:
-                return f[:todo[0]], e
+            (alo, ahi), (rlo, rhi) = alpha.enclosure(eps), rho.enclosure(eps)
             at = slice(None) if todo.size == n.size else todo  # no gather while all are open
             lo = _affine_floors(alo, rlo, n[at], upper)
             hi = lo if (alo, rlo) == (ahi, rhi) else _affine_floors(ahi, rhi, n[at], upper)
             f[at] = lo
             todo = todo[lo != hi]
             if not todo.size:
-                return f, None
+                return f
             eps /= 2
-        return f[:todo[0]], PrecisionExhausted(
+        raise PrecisionExhausted(
             f"could not separate {'ceil' if upper else 'floor'}({alpha}*{n[todo[0]]} + {rho}) "
             f"after {_REFINE_BUDGET} refinements")
 
-    def chunks():
-        last = np.empty(0, dtype=np.int64)  # the value at the previous block's last n
-        for start in itertools.count(0, _CHUNK):
-            f, fault = floors(np.arange(start, start + _CHUNK))
-            yield np.diff(np.concatenate((last, f)))
-            if fault is not None:
-                raise fault
-            last = f[-1:]
-
     prov = Provenance("mechanical", {"alpha": str(alpha), "rho": str(rho), "variant": variant})
-    return Sequence.from_chunks(BINARY, chunks(), provenance=prov)
+    return Sequence.from_index_fn(BINARY, lambda i: np.diff(floors(np.arange(i[0], i[-1] + 2))),
+                                  provenance=prov)
 
 
 # -- morphisms and their fixed points --------------------------------------
@@ -479,9 +468,7 @@ def _grown(buf: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _rules_text(phi: Morphism | None) -> str:
-    if phi is None:
-        return "-"
+def _rules_text(phi: Morphism) -> str:
     return ",".join(f"{a}:{phi.images[a].text}" for a in phi.source)
 
 
@@ -1151,15 +1138,9 @@ def progression_rewrite(base: Sequence, levels) -> Sequence:
             k += 1
         return idx
 
-    def chunks():
-        for start in itertools.count(0, _CHUNK):
-            src = resolve(np.arange(start, start + _CHUNK))
-            have = min(int(src.max()) + 1, base.horizon_cap)
-            beyond = np.flatnonzero(src >= have)
-            cut = int(beyond[0]) if beyond.size else src.size
-            yield base.prefix_array(have)[src[:cut]]
-            if beyond.size:  # past the base's cap: its own read raises
-                base.code_at(int(src[cut]))
+    def fn(idx: np.ndarray) -> np.ndarray:
+        src = resolve(idx)
+        return base.prefix_array(int(src.max()) + 1)[src]  # past the base's cap it raises
 
     bound = None
     fam = base.provenance.family
@@ -1172,8 +1153,8 @@ def progression_rewrite(base: Sequence, levels) -> Sequence:
 
     prov = Provenance("progression_rewrite",
                       {"base": str(base.provenance), "n0": lv(0), "n1": lv(1)})
-    return Sequence.from_chunks(base.alphabet, chunks(), bound=bound, provenance=prov,
-                                horizon_cap=base.horizon_cap)
+    return Sequence.from_index_fn(base.alphabet, fn, bound=bound, provenance=prov,
+                                  horizon_cap=base.horizon_cap)
 
 
 # -- triangular-sum witness ---------------------------------------------------

@@ -16,13 +16,12 @@ only the stack machine steps one symbol at a time.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _CHUNK, Alphabet, Bound, Provenance, Sequence, Word, read_records
+from .core import Alphabet, Bound, Provenance, Sequence, Word, read_records
 from .errors import MachineFault, MachineParseError, SpecError
 from .generators import Morphism, _expand, _image_table, periodic
 
@@ -267,22 +266,19 @@ def product(x: Sequence, y: Sequence) -> Sequence:
     out = pair_alphabet(x.alphabet, y.alphabet)
     ky = len(y.alphabet)
 
-    def chunks():
-        for i in itertools.count(0, _CHUNK):
-            j = min(i + _CHUNK, x.horizon_cap, y.horizon_cap)
-            if j <= i:
-                return
-            yield x.prefix_array(j)[i:] * ky + y.prefix_array(j)[i:]
+    def fn(i: np.ndarray) -> np.ndarray:
+        j = int(i[-1]) + 1
+        return x.prefix_array(j)[i[0]:] * ky + y.prefix_array(j)[i[0]:]
 
     bound = None
     p = y.provenance.params.get("period_len") if y.provenance.family == "periodic" else None
     if p and x.certified_bound is not None:
         bound = bound_formulas(x.certified_bound, p)["image"]
-    return Sequence.from_chunks(out, chunks(), bound=bound,
-                                provenance=Provenance("product",
-                                                      {"left": str(x.provenance),
-                                                       "right": str(y.provenance)}),
-                                horizon_cap=min(x.horizon_cap, y.horizon_cap))
+    return Sequence.from_index_fn(out, fn, bound=bound,
+                                  provenance=Provenance("product",
+                                                        {"left": str(x.provenance),
+                                                         "right": str(y.provenance)}),
+                                  horizon_cap=min(x.horizon_cap, y.horizon_cap))
 
 
 def cyclic(x: Sequence, m: int) -> Sequence:

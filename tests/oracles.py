@@ -70,6 +70,23 @@ def eventual_period(codes):
     return None
 
 
+def stabilization_prefix(pre, period, max_len):
+    """Largest end position of a factor of length up to max_len that occurs
+    only finitely often in pre + period + period + ... (0 when none does).
+    A factor recurs exactly when it starts somewhere in the periodic part,
+    so the finite ones are those starting before len(pre) and nowhere in
+    one period after it."""
+    p, q = len(pre), len(period)
+    w = list(pre) + list(period) * (max_len // q + 2)
+    worst = 0
+    for n in range(1, max_len + 1):
+        recurring = {tuple(w[s:s + n]) for s in range(p, p + q)}
+        for s in range(p):
+            if tuple(w[s:s + n]) not in recurring:
+                worst = max(worst, s + n)
+    return worst
+
+
 def longest_constant_run(codes):
     best = cur = 1
     for i in range(1, len(codes)):

@@ -212,6 +212,24 @@ def test_prefix_regulator(tm, fib, p01):
         A.prefix_regulator(never, 1, 1000)
 
 
+def test_stabilization_prefix_exact_on_eventually_periodic_words():
+    assert A.stabilization_prefix(G.eventually_periodic("1", "0"), 5, 1000) == 5
+    assert A.stabilization_prefix(G.eventually_periodic("11", "0"), 3, 1000) == 4
+    assert A.stabilization_prefix(G.periodic("011"), 4, 1000) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(pre=st.text("01", min_size=1, max_size=12), period=st.text("01", min_size=1, max_size=6),
+       max_len=st.integers(1, 6))
+def test_stabilization_prefix_equals_brute_force(pre, period, max_len):
+    # at this horizon every finite factor ends in the first half, and every
+    # recurring one occurs again in the second
+    x = G.eventually_periodic(pre, period)
+    horizon = 4 * (len(pre) + len(period) + max_len)
+    assert A.stabilization_prefix(x, max_len, horizon) == \
+        oracles.stabilization_prefix(pre, period, max_len)
+
+
 def test_ap_coefficient(fib, p01):
     rep = A.ap_coefficient(p01, 10, 10**4)
     assert rep.max_ratio <= 2

@@ -39,6 +39,7 @@ q1 0 -> q0
 q1 1 -> q1
 accept-sets: {q0,q1}
 """
+BUCHI = TRACKER.replace("accept-sets: {q0,q1}", "accept: q1")
 
 IDENTITY = """states: q0
 start: q0
@@ -361,6 +362,15 @@ def test_decide(tracker_file):
     assert out.splitlines()[0] == "REJECT"
 
 
+def test_decide_with_a_recurring_state_acceptor(tmp_path):
+    path = tmp_path / "buchi.aut"
+    path.write_text(BUCHI)
+    code, out, _ = run(["decide", "--automaton", str(path), "--spec", "thue_morse"])
+    assert code == 0
+    assert out.splitlines() == ["ACCEPT", "limit {q0,q1}", "window [16384,32767]",
+                                "bound uniform image window, m=2"]
+
+
 def test_decide_scheme_file(tmp_path, tracker_file):
     sch = tmp_path / "pairs.scheme"
     sch.write_text("""kind: gap
@@ -395,7 +405,6 @@ def test_compare():
 
 GEN = "gen --n 8 --spec "
 DECIDE = "decide --automaton {f} --spec "
-BUCHI = TRACKER.replace("accept-sets: {q0,q1}", "accept: q1")
 
 MALFORMED = {
     # name: (input file text, command line with {f} for its path, exit code)

@@ -561,6 +561,22 @@ def test_progression_rewrite_equals_the_definition():
             (pre, period, n0, ratio)
 
 
+def test_progression_rewrite_serves_the_codes_before_a_source_past_the_base_cap():
+    # index 6560 is the first whose source lies past the base's cap of 5000
+    base = G.periodic("01")
+    base.horizon_cap = 5000
+    levels = G.geometric_levels(2, 3)
+    x = G.progression_rewrite(base, levels)
+    x.horizon_cap = 10**6
+    got = x.codes(5001)
+    assert len(got) == 6560
+    assert got == oracles.progression_rewrite(G.periodic("01").codes(6560), levels, 6560)
+    for _ in range(2):
+        with pytest.raises(HorizonExhausted, match=re.escape(
+                "requested 6561 symbols of periodic period=01 period_len=2, cap is 5000")):
+            x.codes(9000)
+
+
 def test_progression_rewrite_bound_only_when_aligned():
     aligned = G.progression_rewrite(G.periodic("01"), G.geometric_levels(4, 4))
     assert aligned.certified_bound is not None

@@ -165,6 +165,30 @@ def test_product_bound_requires_periodic_right(tm, fib, p01):
     assert T.product(fib, p01).certified_bound is None  # left factor unbounded
 
 
+def test_product_reads_stop_at_its_own_cap():
+    x = G.thue_morse()
+    x.horizon_cap = 6000
+    prod = T.product(x, G.periodic("01"))
+    assert prod.horizon_cap == 6000
+    want = [2 * a + i % 2 for i, a in enumerate(G.thue_morse().codes(6000)[:6000])]
+    assert prod.codes(6000) == want
+    with pytest.raises(HorizonExhausted, match=re.escape(
+            "requested 6001 symbols of product left=thue_morse definition=recurrence "
+            "right=periodic period=01 period_len=2, cap is 6000")):
+        prod.codes(6001)
+
+
+def test_product_raises_the_error_of_a_factor_capped_after_it_was_built():
+    x = G.thue_morse()
+    prod = T.product(x, G.periodic("01"))
+    x.horizon_cap = 7000
+    assert len(prod.codes(7000)) >= 7000
+    for _ in range(2):
+        with pytest.raises(HorizonExhausted, match=re.escape(
+                "requested 7001 symbols of thue_morse definition=recurrence, cap is 7000")):
+            prod.codes(7001)
+
+
 # -- split ---------------------------------------------------------------------------
 
 
@@ -466,13 +490,6 @@ def test_bound_soundness_matrix_small(tm, scheme_seq, branching_seq):
             assert val <= bounds["image"](n)
             if reversible or (reversible is None and T.is_reversible(mach)):
                 assert val <= bounds["reversible"](n)
-
-
-def test_prefix_bound_dominates_stabilization(tm):
-    mach = merger_machine()
-    img = T.transduce(mach, tm)
-    stab = A.stabilization_prefix(img, 4, 10**5)
-    assert stab <= T.bound_formulas(tm.certified_bound, 2)["prefix"]
 
 
 # -- text format -----------------------------------------------------------------------------
