@@ -7,8 +7,8 @@ Conventions used throughout the toolkit:
 * symbols are opaque tokens with printable names (plain strings); binary
   sequences use the names "0" and "1".
 
-A Sequence is an immutable value: a total index oracle plus a store of
-symbol codes (one int64 buffer) that grows monotonically in chunks.
+A Sequence is an immutable value over a store of symbol codes (one int64
+buffer) that grows monotonically in chunks.
 Evaluation past the horizon cap (default 10**7 symbols) raises
 :class:`HorizonExhausted` instead of blocking forever.
 """
@@ -237,7 +237,7 @@ class Sequence:
     with ``store.extend(codes)`` until the store reaches at least that
     length; it is called under the sequence lock.  Only :meth:`from_chunks`
     builds one, from a generator that keeps its state in its locals (the
-    recurrences, fixed points, schemes and machine transforms), itself or
+    block products, fixed points, schemes and machine transforms), itself or
     for :meth:`from_index_fn` (a vector oracle: int64 index array -> code
     array; the families computed position by position).  The same index
     always yields the same symbol.  A stream whose generator raised stays
@@ -257,22 +257,32 @@ class Sequence:
 
     @staticmethod
     def from_index_fn(alphabet, fn, **kw) -> "Sequence":
-        """Sequence from a total vector oracle: ``fn`` maps an int64 array
+        """Sequence from a vector oracle: ``fn`` maps an int64 array
         of indices to the array of their symbol codes (periodic, digit-sum,
         automatic and mechanical words, progression rewrites, pair products).
 
-        The oracle sees consecutive blocks of indices.  When it raises an
-        :class:`ApseqError` on a block, the block is read again one index at
-        a time, so the codes before the failing index are still served.
+        The oracle sees consecutive blocks of indices, and must raise an
+        :class:`ApseqError` on a block exactly when the block holds a
+        failing index.  The longest prefix of a failing block that it
+        serves is found by bisection and served, then the first failing
+        index is read alone and raises its own error.
         """
 
         def blocks():
             for start in itertools.count(0, _CHUNK):
                 try:
                     yield fn(np.arange(start, start + _CHUNK))
-                except ApseqError:
-                    for i in range(start, start + _CHUNK):
-                        yield fn(np.arange(i, i + 1))
+                except ApseqError as fault:
+                    served, lo, hi = [], start, start + _CHUNK - 1  # codes of [start, lo)
+                    while lo < hi:
+                        mid = (lo + hi) // 2
+                        try:
+                            served, lo = fn(np.arange(start, mid + 1)), mid + 1
+                        except ApseqError:
+                            hi = mid
+                    yield served
+                    fn(np.arange(lo, lo + 1))
+                    raise fault  # only an oracle that breaks the contract gets here
 
         return Sequence.from_chunks(alphabet, blocks(), **kw)
 

@@ -13,6 +13,7 @@ regulator bound; all other families are empirical-only.  Bounds ship for:
 from __future__ import annotations
 
 import itertools
+import math
 import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,8 +122,9 @@ def with_prefix(prefix_word, x: Sequence) -> Sequence:
 
 def thue_morse(definition: str = "recurrence") -> Sequence:
     """The binary invert-and-append sequence, by one of three equivalent
-    constructions: index recurrence, binary digit-sum parity, or the fixed
-    point of 0 -> 01, 1 -> 10.
+    constructions: the recurrence w -> w ~w, which is the block product of
+    01 with itself; binary digit-sum parity; or the fixed point of
+    0 -> 01, 1 -> 10.
 
     Certified bound: 2**(ceil(log2 n) + 3).  The sequence splits into
     aligned blocks b/~b of size 2**m whose block code is the sequence
@@ -131,21 +133,7 @@ def thue_morse(definition: str = "recurrence") -> Sequence:
     block boundary.
     """
     if definition == "recurrence":
-        def chunks():
-            # x(2i) = x(i) and x(2i + 1) = 1 - x(i), applied to all i at once
-            # log2(_CHUNK) times, build the first chunk and give x(_CHUNK * j + r)
-            # = x(j) xor x(r): each chunk is the first one or its complement
-            first = np.zeros(1, dtype=np.uint8)
-            while first.size < _CHUNK:
-                first = np.stack((first, 1 - first), axis=1).ravel()
-            both, signs = (first, 1 - first), [0]
-            for j in itertools.count():
-                if j:
-                    signs.append(signs[j >> 1] ^ (j & 1))
-                yield both[signs[j]]
-
-        seq = Sequence.from_chunks(BINARY, chunks(),
-                                   provenance=Provenance("thue_morse", {"definition": definition}))
+        seq = block_product_seq(["01"], family="thue_morse", params={"definition": definition})
     elif definition == "digit_sum":
         seq = Sequence.from_index_fn(
             BINARY, lambda i: np.bitwise_count(i) & 1,
@@ -157,10 +145,8 @@ def thue_morse(definition: str = "recurrence") -> Sequence:
     else:
         raise SpecError(f"unknown definition {definition!r}")
 
-    def fn(n):
-        return 1 << ((n - 1).bit_length() + _DOUBLING_SHIFT)
-
-    seq.certified_bound = Bound(fn, "doubling-block window argument")
+    seq.certified_bound = _level_bound(lambda m: 1 << m, lambda m, n: 1 << (m + _DOUBLING_SHIFT),
+                                       "doubling-block window argument")
     return seq
 
 
@@ -562,10 +548,12 @@ def block_product_word(u: Word, v: Word) -> Word:
 
 def block_product_seq(blocks, *, assert_both_letters: bool = False,
                       family: str = "block_product", params: dict | None = None) -> Sequence:
-    """Limit of the iterated block product of a stream of binary words.
+    """Limit of the iterated block product of a list of binary words whose
+    last entry repeats forever (01 alone gives the doubling word).
 
-    ``blocks`` is a callable k -> Word, or a list whose last entry repeats
-    forever.  Every block past the first must be nonempty and start with 0.
+    The blocks are checked here: every block past the first must be
+    nonempty and start with 0.  A repeated last block of length 1 adds
+    nothing, so the stream ends after the product of the earlier blocks.
     With ``assert_both_letters`` the caller asserts that every block past
     the first contains both letters; under that assertion the sequence
     carries the certified bound 4 * l_{m+1} + 2 * l_m + n with l_m the
@@ -575,17 +563,10 @@ def block_product_seq(blocks, *, assert_both_letters: bool = False,
     plain 4 * l_{m+1} window is too tight for streams such as 001, 0111,
     0111, ... (measured regulator 4 * l_{m+1} + 2 * l_m + n - 1).
     """
-    if callable(blocks):
-        block_at = blocks
-    else:
-        words = [word_from_text(b, BINARY) for b in blocks]
-        if not words:
-            raise SpecError("need at least one block")
-        block_at = lambda k: words[min(k, len(words) - 1)]
-
-    @lru_cache(maxsize=None)
-    def checked_block(k: int) -> Word:
-        w = word_from_text(block_at(k), BINARY)
+    words = [word_from_text(b, BINARY) for b in blocks]
+    if not words:
+        raise SpecError("need at least one block")
+    for k, w in enumerate(words):
         if len(w.alphabet) != 2:
             raise SpecError("blocks must be binary")
         if len(w) == 0:
@@ -594,29 +575,17 @@ def block_product_seq(blocks, *, assert_both_letters: bool = False,
             raise SpecError(f"block {k} does not start with 0")
         if assert_both_letters and k >= 1 and len(set(w.codes)) != 2:
             raise SpecError(f"block {k} lacks both letters but the bound asserts them")
-        return w
-
-    @lru_cache(maxsize=None)
-    def level_len(m: int) -> int:
-        n = 1
-        for k in range(m + 1):
-            n *= len(checked_block(k))
-        return n
+    block = lambda k: words[min(k, len(words) - 1)]
+    level_len = lambda m: math.prod(len(block(k)) for k in range(m + 1))
 
     def chunks():
-        w = np.array(checked_block(0).codes, dtype=np.uint8)
+        w = np.array(words[0].codes, dtype=np.uint8)
         yield w
-        stagnant = 0
         for level in itertools.count(1):
-            blk = checked_block(level)
-            if len(blk) == 1:
-                stagnant += 1
-                if stagnant > 10_000:
-                    raise HorizonExhausted("block stream stalled on length-1 blocks")
-                continue
-            stagnant = 0
-            bits = np.array(blk.codes, dtype=np.uint8)[:, None]
-            done, w = w.size, np.where(bits == 0, w, 1 - w).ravel()
+            bits = np.array(block(level).codes, dtype=np.uint8)[:, None]
+            if bits.size == 1 and level >= len(words) - 1:
+                raise HorizonExhausted("block stream stalled on length-1 blocks")
+            done, w = w.size, (bits ^ w).ravel()
             yield w[done:]
 
     bound = _level_bound(level_len, lambda m, n: 4 * level_len(m + 1) + 2 * level_len(m) + n,

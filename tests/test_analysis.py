@@ -468,6 +468,9 @@ def test_screen(fib):
     assert rep.confirmed and (rep.preperiod, rep.period) == (2, 2)
     codes = G.eventually_periodic("10", "01").codes(2000)[:2000]
     assert (rep.preperiod, rep.period) == oracles.eventual_period(codes)
+    # p(12) = 12 triggers, but period 12 does not fit in a quarter of 40 symbols
+    rep = A.periodicity_screen(G.periodic("0" * 11 + "1"), 40)
+    assert (rep.triggered_at, rep.preperiod, rep.period, rep.confirmed) == (12, None, None, False)
 
 
 # -- progression witnesses ----------------------------------------------------------------------

@@ -245,6 +245,22 @@ def test_from_index_fn_serves_the_codes_before_a_failing_index():
         y.prefix(2)
 
 
+def test_from_index_fn_bisects_a_failing_block():
+    calls = []
+
+    def fn(i):
+        calls.append(i.size)
+        if i[-1] >= 4095:
+            raise SpecError(f"no symbol at {i[i >= 4095][0]}")
+        return i & 1
+    x = Sequence.from_index_fn(Alphabet.binary(), fn)
+    assert x.codes(4095)[:4095] == [i & 1 for i in range(4095)]
+    assert len(calls) <= 16
+    with pytest.raises(SpecError, match="no symbol at 4095"):
+        x.codes(4096)
+    assert calls[-1] == 1  # the failing index is read alone
+
+
 # -- chunk-generator streams ------------------------------------------------------
 
 
@@ -289,7 +305,7 @@ def test_reads_of_produced_positions_succeed():
     assert collapsed.prefix(1).text == "1"
     with pytest.raises(SpecError):
         collapsed.prefix(2)
-    stalled = G.block_product_seq(lambda k: "01" if k < 5 else "0")
+    stalled = G.block_product_seq(["01"] * 5 + ["0"])
     assert stalled.prefix(1).text == "0"
     assert len(stalled.prefix(32)) == 32
     with pytest.raises(HorizonExhausted):

@@ -291,6 +291,23 @@ def test_scheme_validate_violations():
     assert any(v.condition == 4 for v in viols)
 
 
+def test_scheme_validate_block_set_and_pair_word_shapes():
+    empty = G.scheme_validate(G.Scheme(B, lambda n: (1, ())), 1)
+    assert [(v.level, v.condition, v.message) for v in empty] == [
+        (0, 1, "empty block set"), (1, 1, "empty block set")]
+    good = G.pair_alternation_scheme()
+
+    def with_level0_pair(text):
+        def level(n):
+            ln, bn, cn = good.level(n)
+            return (ln, bn, (*cn, B.word(text))) if n == 0 else (ln, bn, cn)
+        return [str(v) for v in G.scheme_validate(G.Scheme(B, level), 1)]
+    assert "level 0, condition (2): pair word '011' is not two blocks long" \
+        in with_level0_pair("011")
+    assert "level 0, condition (2): pair word '0001' has a half outside the block set" \
+        in with_level0_pair("0001")
+
+
 def test_scheme_generate_doubling_matches_doubling_word(tm):
     x = G.scheme_generate(G.doubling_scheme())
     assert agreement_length(x, tm, 10**4) is None
@@ -812,6 +829,8 @@ _BLOCK_001_0111 = [
     3509, 3510, 3511, 3512, 3513, 3514, 3515, 3516, 3517, 3518, 3519, 3520]
 
 _LEVEL_BOUNDS = {
+    "thue_morse": (lambda: G.thue_morse(), "doubling-block window argument", [
+        8, 16, 32, 32, *[64] * 4, *[128] * 8, *[256] * 16, *[512] * 32]),
     "keane": (lambda: G.keane(), "block product window (4*l_{m+1} + 2*l_m + n)", [
         43, 44, 45, 130, 131, 132, 133, 134, 135, 388, 389, 390, 391, 392, 393, 394, 395, 396,
         397, 398, 399, 400, 401, 402, 403, 404, 405, 1162, 1163, 1164, 1165, 1166, 1167, 1168,
@@ -861,3 +880,20 @@ def test_level_indexed_bounds_keep_their_values(name):
     bound = make().certified_bound
     assert bound.provenance == provenance
     assert [bound(n) for n in range(1, 65)] == want
+
+
+@pytest.mark.parametrize("make", [
+    lambda: G.thue_morse(), lambda: G.thue_morse("digit_sum"), lambda: G.thue_morse("morphic"),
+    G.keane, G.alternating_prefix_example], ids=[
+    "thue_morse", "thue_morse_digit_sum", "thue_morse_morphic", "keane",
+    "alternating_prefix_example"])
+def test_moved_level_bounds_hold(make):
+    x = make()
+    assert all(A.check_certified_bound(x, n, 20000) for n in range(1, 9))
+
+
+@pytest.mark.xfail(reason="ROADMAP item 1: the block-product bound is unsound")
+def test_block_product_bound_holds_on_010_00010():
+    # g(2) = 68 while the empirical regulator is 73
+    x = G.block_product_seq(["010", "00010"], assert_both_letters=True)
+    assert A.check_certified_bound(x, 2, 3000)

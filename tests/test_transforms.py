@@ -253,6 +253,17 @@ def test_pushdown_fault():
         T.pushdown_transduce(pd2, zeros).prefix(1)
 
 
+@pytest.mark.parametrize("action, fault, text", [
+    (("pop",), MachineFault, "pop on empty stack"),  # as oracles.pushdown orders them
+    (("noop",), SpecError, "symbol 'z' not in alphabet"),
+    (("push", "s"), SpecError, "symbol 'z' not in alphabet")])
+def test_pushdown_fault_order_on_a_bad_emission(action, fault, text):
+    rules = {("q", a, top): ("z", "q", action) for a in "01" for top in (None, "s")}
+    pd = T.PushdownTransducer(B, Alphabet.of("x"), ("q",), "q", ("s",), rules)
+    with pytest.raises(fault, match=re.escape(text)):
+        T.pushdown_transduce(pd, G.periodic(B.word("0"))).prefix(1)
+
+
 def test_stack_blind_pushdown_equals_projection(tm):
     rules = {}
     for q in ("u", "v"):
