@@ -141,10 +141,6 @@ class ProuhetReport:
     zero_power_sums: list
     one_power_sums: list
 
-    @property
-    def balanced(self) -> bool:
-        return self.zero_power_sums == self.one_power_sums
-
 
 # -- factor statistics -------------------------------------------------------
 

@@ -150,8 +150,9 @@ def _block_product(s: SequenceSpec, seed) -> Sequence:
     both = s.pop("both", "true")
     if both not in ("true", "false"):
         raise SpecError(f"parameter both={both!r} is not true or false")
-    return G.block_product_seq([head, tail], assert_both_letters=both == "true",
-                               params={"head": head, "tail": tail})
+    seq = G.block_product_seq([head, tail], assert_both_letters=both == "true")
+    seq.provenance = Provenance("block_product", {"head": head, "tail": tail})
+    return seq
 
 
 def _alternating_morphic(s: SequenceSpec, seed) -> Sequence:
@@ -463,11 +464,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except tuple(c for cs, _ in _EXIT_CODES for c in cs) as e:
-        for classes, code in _EXIT_CODES:
-            if isinstance(e, classes):
-                print(f"error: {e}", file=sys.stderr)
-                return code
-        raise
+        print(f"error: {e}", file=sys.stderr)
+        return next(code for classes, code in _EXIT_CODES if isinstance(e, classes))
 
 
 def console() -> None:

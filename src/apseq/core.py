@@ -205,26 +205,27 @@ class Provenance:
 
 
 class _Store:
-    """A grow-only int64 buffer and the count of codes filled in it (``len``).
+    """A grow-only buffer of one dtype and the count of codes filled in it (``len``).
     A reader without the lock reads the count first: growing copies the
     filled codes before it swaps the buffer in, so any later buffer holds them."""
 
-    def __init__(self):
-        self.data, self.size = np.empty(0, dtype=np.int64), 0
+    def __init__(self, dtype):
+        self.data, self.size = np.empty(0, dtype=dtype), 0
 
     def __len__(self):
         return self.size
 
     def reserve(self, n: int):
         if self.data.size < n:
-            grown = np.empty(n, dtype=np.int64)
+            grown = np.empty(n, dtype=self.data.dtype)
             grown[:self.size] = self.data[:self.size]
             self.data = grown
 
     def extend(self, codes):
-        """Append codes (a list or an integer array) after the filled ones."""
+        """Append codes (a list or an integer array); the capacity doubles if they do not fit."""
         end = self.size + len(codes)
-        self.reserve(end)
+        if end > self.data.size:
+            self.reserve(max(2 * self.data.size, end))
         self.data[self.size:end] = codes
         self.size = end
 
@@ -252,7 +253,7 @@ class Sequence:
         self.certified_bound = bound
         self.provenance = provenance or Provenance("anonymous")
         self.horizon_cap = horizon_cap
-        self._store = _Store()
+        self._store = _Store(np.int64)
         self._lock = threading.RLock()
 
     @staticmethod
@@ -395,10 +396,10 @@ class Sequence:
         return Word(self.alphabet, tuple(self._view(seg.i, seg.j + 1).tolist()))
 
     def with_bound(self, bound: Bound) -> "Sequence":
-        """Same stream with a (caller-asserted) certified bound attached."""
-        out = shift(self, 0)
-        out.certified_bound = bound
-        out.provenance = self.provenance
+        """Same stream and store with a (caller-asserted) certified bound attached."""
+        out = Sequence(self.alphabet, self._extend, bound=bound, provenance=self.provenance,
+                       horizon_cap=self.horizon_cap)
+        out._store, out._lock = self._store, self._lock
         return out
 
     def __repr__(self):

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _CHUNK, Alphabet, Bound, Provenance, Sequence, Word
+from .core import _CHUNK, Alphabet, Bound, Provenance, Sequence, Word, _Store
 from .errors import GenerationStuck, HorizonExhausted, PrecisionExhausted, SpecError
 
 BINARY = Alphabet.binary()
@@ -133,18 +133,15 @@ def thue_morse(definition: str = "recurrence") -> Sequence:
     block boundary.
     """
     if definition == "recurrence":
-        seq = block_product_seq(["01"], family="thue_morse", params={"definition": definition})
+        seq = block_product_seq(["01"])
     elif definition == "digit_sum":
-        seq = Sequence.from_index_fn(
-            BINARY, lambda i: np.bitwise_count(i) & 1,
-            provenance=Provenance("thue_morse", {"definition": definition}))
+        seq = Sequence.from_index_fn(BINARY, lambda i: np.bitwise_count(i) & 1)
     elif definition == "morphic":
-        phi = Morphism.from_rules(BINARY, BINARY, {"0": "01", "1": "10"})
-        seq = morphic(phi, "0")
-        seq.provenance = Provenance("thue_morse", {"definition": definition})
+        seq = morphic(Morphism.from_rules(BINARY, BINARY, {"0": "01", "1": "10"}), "0")
     else:
         raise SpecError(f"unknown definition {definition!r}")
 
+    seq.provenance = Provenance("thue_morse", {"definition": definition})
     seq.certified_bound = _level_bound(lambda m: 1 << m, lambda m, n: 1 << (m + _DOUBLING_SHIFT),
                                        "doubling-block window argument")
     return seq
@@ -426,32 +423,20 @@ def _fixed_point_chunks(table: tuple, first: np.ndarray, key, collapse):
     on index and code arrays).  Each step expands only as many letters as
     the next chunk needs; a word that stops growing yields what it has and
     raises ``collapse``."""
-    lens = table[2]
-    buf, size, ptr = first, first.size, 1
+    lens, buf, ptr = table[2], _Store(first.dtype), 1
+    buf.extend(first)
     for done in itertools.count(0, _CHUNK):
-        while size < done + _CHUNK:
-            if ptr == size:
-                yield buf[done:size]
+        while len(buf) < done + _CHUNK:
+            if ptr == len(buf):
+                yield buf.data[done:len(buf)]
                 raise collapse
-            need = done + _CHUNK - size
-            end = min(size, ptr + need)  # nonerasing letters add >= 1 each
-            keys = key(np.arange(ptr, end), buf[ptr:end])
+            need = done + _CHUNK - len(buf)
+            end = min(len(buf), ptr + need)  # nonerasing letters add >= 1 each
+            keys = key(np.arange(ptr, end), buf.data[ptr:end])
             keys = keys[:np.searchsorted(np.cumsum(lens[keys]), need) + 1]
-            new = _expand(table, keys)
-            buf = _grown(buf, size + new.size)
-            buf[size:size + new.size] = new
-            size, ptr = size + new.size, ptr + keys.size
-        yield buf[done:done + _CHUNK]
-
-
-def _grown(buf: np.ndarray, size: int) -> np.ndarray:
-    """buf itself when it holds size codes, else a copy of at least twice
-    its capacity."""
-    if size <= buf.size:
-        return buf
-    out = np.empty(max(2 * buf.size, size), dtype=buf.dtype)
-    out[:buf.size] = buf
-    return out
+            buf.extend(_expand(table, keys))
+            ptr += keys.size
+        yield buf.data[done:done + _CHUNK]
 
 
 def _rules_text(phi: Morphism) -> str:
@@ -499,8 +484,8 @@ class DFAO:
 
 def automatic(dfao: DFAO) -> Sequence:
     """x(n) = output of the DFAO run on the base-k digits of n (n = 0 reads
-    the single digit 0).  Indices with the same number of digits run
-    together, one table lookup per digit position."""
+    the single digit 0).  Each digit position is one table lookup for the
+    whole block; an index leaves the positions past its leading digit unread."""
     b, states = dfao.base, {q: j for j, q in enumerate(dfao.states)}
     step = np.array([[states[dfao.transition[(q, d)]] for d in range(b)] for q in dfao.states])
     out_alphabet = dfao.output_alphabet
@@ -511,14 +496,9 @@ def automatic(dfao: DFAO) -> Sequence:
         powers = [1]
         while powers[-1] * b <= i.max():
             powers.append(powers[-1] * b)
-        digits = np.searchsorted(np.array(powers[1:], dtype=np.int64), i, side="right") + 1
-        q = np.empty(i.size, dtype=np.int64)
-        for n in np.unique(digits).tolist():
-            at = np.flatnonzero(digits == n)
-            x, qs = i[at], np.full(at.size, states[dfao.initial])
-            for pw in reversed(powers[:n]):
-                qs = step[qs, x // pw % b]
-            q[at] = qs
+        q = np.full(i.size, states[dfao.initial])
+        for pw in reversed(powers):
+            q = np.where((i >= pw) | (pw == 1), step[q, i // pw % b], q)
         codes = outputs[q]
         if (codes < 0).any():  # an output outside the alphabet: the same error as a lookup
             out_alphabet.index(dfao.output[dfao.states[q[np.argmax(codes < 0)]]])
@@ -546,8 +526,7 @@ def block_product_word(u: Word, v: Word) -> Word:
     return Word(u.alphabet, tuple(out))
 
 
-def block_product_seq(blocks, *, assert_both_letters: bool = False,
-                      family: str = "block_product", params: dict | None = None) -> Sequence:
+def block_product_seq(blocks, *, assert_both_letters: bool = False) -> Sequence:
     """Limit of the iterated block product of a list of binary words whose
     last entry repeats forever (01 alone gives the doubling word).
 
@@ -592,21 +571,23 @@ def block_product_seq(blocks, *, assert_both_letters: bool = False,
                          "block product window (4*l_{m+1} + 2*l_m + n)") if assert_both_letters else None
 
     return Sequence.from_chunks(BINARY, chunks(), bound=bound,
-                                provenance=Provenance(family, params or {}))
+                                provenance=Provenance("block_product"))
 
 
 def keane() -> Sequence:
     """The ternary-pattern block product: every block equals 001."""
-    return block_product_seq(["001"], assert_both_letters=True,
-                             family="keane")
+    seq = block_product_seq(["001"], assert_both_letters=True)
+    seq.provenance = Provenance("keane")
+    return seq
 
 
 def alternating_prefix_example() -> Sequence:
     """001 followed by the repeated block 0111: a uniformly recurrent
     sequence whose prefix imbalances alternate sign with value 2**m.
     Ships as a named fixture for the stack-machine counterexample."""
-    return block_product_seq(["001", "0111"], assert_both_letters=True,
-                             family="alternating_prefix_example")
+    seq = block_product_seq(["001", "0111"], assert_both_letters=True)
+    seq.provenance = Provenance("alternating_prefix_example")
+    return seq
 
 
 # -- schemes ----------------------------------------------------------------
@@ -954,14 +935,13 @@ def toeplitz(pattern: ToeplitzPattern) -> Sequence:
     reads = (holes // p) * q + (np.cumsum(is_hole) - is_hole)[r[holes]]
 
     def chunks():
-        made = tile[:0]  # every symbol so far, in the narrowest dtype
+        made = _Store(tile.dtype)  # every symbol so far, in the narrowest dtype
         for start in itertools.count(0, size):
-            made = _grown(made, start + size)
-            made[start:start + size] = tile
+            made.extend(tile)
             at, src = start + holes, start // p * q + reads
-            while not np.array_equal(made[at], new := made[src]):
-                made[at] = new
-            yield made[start:start + size]
+            while not np.array_equal(made.data[at], new := made.data[src]):
+                made.data[at] = new
+            yield made.data[start:start + size]
 
     return Sequence.from_chunks(pattern.alphabet, chunks(),
                                 provenance=Provenance("toeplitz", {"pattern": pattern.text}))

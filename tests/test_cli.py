@@ -18,6 +18,7 @@ from apseq import generators as G
 from apseq import omega as O
 from apseq import transforms as T
 from apseq.cli import SequenceSpec, build_sequence, main, parse_dfao_file, parse_scheme_file
+from apseq.core import Bound
 from apseq.errors import SpecError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -185,6 +186,11 @@ def test_cli_runs_as_a_module():
 
 
 # -- exit codes -------------------------------------------------------------------
+
+
+def test_block_product_spec_provenance():
+    x = build_sequence(SequenceSpec.parse("block_product head=001 tail=0111 both=false"))
+    assert str(x.provenance) == "block_product head=001 tail=0111"
 
 
 def test_exit_codes(tmp_path, tracker_file):
@@ -542,6 +548,22 @@ def test_tracer_spans_count_the_codes_filled():
         inner = [sp[INFO]["symbols"] for sp in tracer.spans
                  if sp[NAME] == "generators.thue_morse_recurrence"]
         assert inner and sum(inner) == len(tm.codes(0))
+    finally:
+        tracer.uninstall()
+    assert tracing.Tracer.leftovers() == []
+
+
+def test_tracer_spans_the_fills_of_a_bound_copy():
+    # the copy shares its input's store and generator, and outlives the input
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        x = G.fibonacci().with_bound(Bound(lambda n: 2 * n, "2n"))
+        x.prefix_array(10000)
+        spans = [sp[tracing.INFO]["symbols"] for sp in tracer.spans
+                 if sp[tracing.NAME] == "generators.fibonacci"]
+        assert spans and spans[0] == len(x.codes(0))
     finally:
         tracer.uninstall()
     assert tracing.Tracer.leftovers() == []

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from apseq import generators as G
-from apseq.core import (Alphabet, Segment, Sequence, Word, agreement_length, factors,
-                        occurrences, prefix, segment, shift)
+from apseq.core import (Alphabet, Bound, Segment, Sequence, Word, _Store, agreement_length,
+                        factors, occurrences, prefix, segment, shift)
 from apseq.errors import HorizonExhausted, SpecError
 
 
@@ -110,6 +110,22 @@ def test_shift(tm, p01):
     assert s0.certified_bound is None  # dropped on shift
 
 
+def test_with_bound_fills_the_input_store():
+    x = G.periodic("011")
+    y = x.with_bound(Bound(lambda n: n + 2, "n + 2"))
+    assert y.provenance == x.provenance and y.certified_bound(1) == 3
+    assert y.prefix_array(5000).tolist() == [int("011"[i % 3]) for i in range(5000)]
+    assert len(x._store) >= 5000
+
+
+def test_store_keeps_its_dtype_and_doubles_only_when_codes_do_not_fit():
+    store = _Store(np.uint8)
+    for size, capacity in ((5000, 5000), (10000, 10000), (15000, 20000), (20000, 20000)):
+        store.extend(np.ones(5000, dtype=np.uint8))
+        assert (len(store), store.data.size, store.data.dtype) == (size, capacity, np.uint8)
+    assert store.data[:len(store)].sum() == 20000
+
+
 def test_shift_composition(tm):
     rng = random.Random(11)
     for _ in range(5):
@@ -156,12 +172,14 @@ def test_concurrent_readers():
               lambda: T.cyclic(G.thue_morse(), 3))
     for make in makers:
         x = make()
+        bound = x.with_bound(Bound(lambda n: n, "n"))  # odd slots read through the shared store
         want = make().prefix(20000).codes
         results, arrays = [None] * 8, [None] * 8
         def reader(slot):
-            results[slot] = tuple(x.codes(20000)[:20000])
+            y = (x, bound)[slot % 2]
+            results[slot] = tuple(y.codes(20000)[:20000])
             n = 5000 * (slot % 4 + 1)  # views of the store while other threads read it
-            arrays[slot] = x.prefix_array(n).copy()
+            arrays[slot] = y.prefix_array(n).copy()
         threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
         for t in threads:
             t.start()

@@ -673,6 +673,23 @@ def test_automatic_matches_the_digit_run():
     out3 = {"x": 0, "y": 1, "z": 2}
     _reads_match(G.automatic(mod),
                  [oracles.dfao_run(3, mod.transition, "x", out3, i) for i in range(3**9 + 5)])
+    # leading zeros would move this automaton out of its start state
+    pow2 = _powers_of_two_dfao()
+    out2 = {q: int(s) for q, s in pow2.output.items()}
+    _reads_match(G.automatic(pow2),
+                 [oracles.dfao_run(2, pow2.transition, "z", out2, i) for i in range(3 * 4096 + 5)])
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: G.thue_morse("recurrence"), "thue_morse definition=recurrence"),
+    (lambda: G.thue_morse("digit_sum"), "thue_morse definition=digit_sum"),
+    (lambda: G.thue_morse("morphic"), "thue_morse definition=morphic"),
+    (G.keane, "keane"),
+    (G.alternating_prefix_example, "alternating_prefix_example"),
+    (lambda: G.block_product_seq(["001", "0111"]), "block_product"),
+])
+def test_block_product_and_doubling_provenance(make, name):
+    assert str(make().provenance) == name
 
 
 @pytest.mark.parametrize("make, rules, seed", [

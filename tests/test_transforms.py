@@ -217,6 +217,14 @@ def test_split_roundtrip(tm):
     assert restored.text == tm.prefix(len(first) + len(restored)).text[len(first):]
 
 
+def test_split_reads_a_chunk_without_a_marker():
+    # every block past the first is 5000 codes long, so a whole read chunk holds no marker
+    word = "1" + "0" * 4999
+    want, unknown = oracles.split([int(c) for c in word * 6], 1, 10001)
+    assert unknown is None and len(want) == 5
+    assert T.split(G.periodic(word), "1", 10001).codes(5)[:5] == want
+
+
 def test_split_errors(p01):
     with pytest.raises(SpecError):
         T.split(G.constant("0"), "1", 100)
