@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Segment, Sequence, Word
+from .core import Segment, Sequence, Word, occurrences
 from .errors import HorizonExhausted, SpecError
 from .generators import pattern_slots, pattern_text, thue_morse  # noqa: F401 (re-exported)
 
@@ -212,10 +212,6 @@ def _coverage(first, last, gap, n: int, horizon: int):
     return np.maximum(np.maximum(first + n, gap + n - 1), horizon - last)
 
 
-def _factor_word(x: Sequence, start: int, n: int) -> Word:
-    return x.segment(Segment(start, start + n - 1))
-
-
 def subword_complexity(x: Sequence, n: int, horizon: int) -> int:
     """Number of distinct length-n factors of the horizon prefix.
 
@@ -353,8 +349,8 @@ def is_balanced(x: Sequence, n_max: int, horizon: int) -> BalanceReport:
         if hi - lo > 1:
             i_lo = int(np.argmin(counts))
             i_hi = int(np.argmax(counts))
-            return BalanceReport(False, n, _factor_word(x, i_lo, n),
-                                 _factor_word(x, i_hi, n), hi - lo)
+            return BalanceReport(False, n, x.segment(Segment(i_lo, i_lo + n - 1)),
+                                 x.segment(Segment(i_hi, i_hi + n - 1)), hi - lo)
     return BalanceReport(True)
 
 
@@ -552,10 +548,8 @@ def quasiperiods(w: Word) -> QuasiperiodReport:
     for q in range(1, m + 1):
         if w.codes[:q] != w.codes[m - q:]:
             continue  # a cover must match both ends
-        pos = [i for i in range(m - q + 1) if w.codes[i:i + q] == w.codes[:q]]
-        ok = pos[0] == 0 and pos[-1] == m - q and \
-            all(b - a <= q for a, b in zip(pos, pos[1:]))
-        if ok:
+        pos = occurrences(w, w[:q])
+        if all(b - a <= q for a, b in zip(pos, pos[1:])):
             found.append(w[:q])
     return QuasiperiodReport(w, found, found[0])
 
@@ -602,7 +596,7 @@ def tiling_periods(u: Word) -> list:
         raise SpecError("exhaustive tiling search is capped at length 32")
     results = []
 
-    def search(offsets, shifts, covered, remaining):
+    def search(offsets, shifts, remaining):
         if not remaining:
             width = max(offsets) + 1
             slots = tuple(u.codes[o] if o in offsets else None for o in range(width))
@@ -613,16 +607,15 @@ def tiling_periods(u: Word) -> list:
         if all(p + o < m and p + o in remaining and u.codes[p + o] == u.codes[o]
                for o in offsets):
             newly = {p + o for o in offsets}
-            search(offsets, shifts | {p}, covered | newly, remaining - newly)
+            search(offsets, shifts | {p}, remaining - newly)
         # choice B: p is a new offset of the pattern (covered via shift 0)
         o = p
         if all(s + o < m and s + o in remaining and u.codes[s + o] == u.codes[o]
                for s in shifts):
             newly = {s + o for s in shifts}
-            search(offsets | {o}, shifts, covered | newly, remaining - newly)
+            search(offsets | {o}, shifts, remaining - newly)
 
-    first = {0}
-    search({0}, {0}, first, set(range(m)) - first)
+    search({0}, {0}, set(range(m)) - {0})
     uniq = sorted(set(results), key=lambda t: (sum(1 for s in t if s is not None), len(t), t.__repr__()))
     return uniq
 

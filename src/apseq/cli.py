@@ -30,13 +30,9 @@ from .errors import (CostRefusal, GenerationStuck, HorizonExhausted,
 # -- sequence specs -------------------------------------------------------------
 
 
-class SequenceSpec:
+class SequenceSpec(Provenance):
     """family name + parameter map, with a canonical text form that
     round-trips byte-identically: keys sorted, space-separated."""
-
-    def __init__(self, family: str, params: dict):
-        self.family = family
-        self.params = dict(params)
 
     @staticmethod
     def parse(text: str) -> "SequenceSpec":
@@ -54,7 +50,7 @@ class SequenceSpec:
         return SequenceSpec(family, params)
 
     def print(self) -> str:
-        return str(Provenance(self.family, self.params))
+        return str(self)
 
     def pop(self, key, default=None):
         return self.params.pop(key, default)
@@ -210,7 +206,7 @@ def build_sequence(spec: SequenceSpec, seed=None) -> Sequence:
     """Instantiate the generator named by the spec.  Unknown families and
     unknown or missing parameters are rejected naming the offending key.
     ``APSEQ_HORIZON_CAP``, when set, caps every sequence built here."""
-    s = SequenceSpec(spec.family, spec.params)  # work on a copy
+    s = SequenceSpec(spec.family, dict(spec.params))  # work on a copy
     if s.family not in FAMILIES:
         raise SpecError(f"unknown sequence family {s.family!r}")
     out = FAMILIES[s.family](s, seed)

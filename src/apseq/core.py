@@ -75,7 +75,7 @@ class Alphabet:
         when every symbol name is a single character."""
         if isinstance(letters, Word):
             return letters
-        if isinstance(letters, str) and all(len(s) == 1 for s in self.symbols):
+        if isinstance(letters, str) and self.single_char:
             letters = tuple(letters)
         return Word(self, tuple(self.index(s) for s in letters))
 

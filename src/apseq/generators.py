@@ -67,10 +67,10 @@ def periodic(period) -> Sequence:
     Certified bound: n + |period| - 1; a window of that length covers a
     full residue cycle, so it contains every length-n factor.
     """
+    if not period:  # before an alphabet is inferred from it
+        raise SpecError("period must be nonempty")
     w = word_from_text(period)
     p = len(w)
-    if p < 1:
-        raise SpecError("period must be nonempty")
     codes = _code_array(w.codes, w.alphabet)
     bound = Bound(lambda n: n + p - 1, f"periodic window, period {p}")
     prov = Provenance("periodic", {"period": w.text, "period_len": p})
@@ -85,6 +85,8 @@ def eventually_periodic(pre, period) -> Sequence:
     the preperiod boundary needs the full preperiod plus one residue cycle
     before it is guaranteed to contain every recurring factor.
     """
+    if not period:  # before an alphabet is inferred from it
+        raise SpecError("period must be nonempty")
     alphabet = Alphabet(tuple(sorted(set(str(pre)) | set(str(period))))) \
         if isinstance(pre, str) and isinstance(period, str) else None
     u = word_from_text(pre, alphabet)
@@ -92,8 +94,6 @@ def eventually_periodic(pre, period) -> Sequence:
     if u.alphabet != w.alphabet:
         raise SpecError("preperiod and period must share an alphabet")
     p = len(w)
-    if p < 1:
-        raise SpecError("period must be nonempty")
     k, codes = len(u), _code_array(u.codes + w.codes, u.alphabet)
     bound = Bound(lambda n: k + n + p - 1, f"eventually periodic window, pre {k}, period {p}")
     prov = Provenance("eventually_periodic",
@@ -103,7 +103,7 @@ def eventually_periodic(pre, period) -> Sequence:
 
 
 def constant(symbol: str) -> Sequence:
-    return periodic(word_from_text(symbol))
+    return periodic(symbol)
 
 
 def with_prefix(prefix_word, x: Sequence) -> Sequence:
@@ -868,7 +868,7 @@ def scheme_generate(scheme, mode: str = "AP", policy="lex", seed=None,
     bound = _level_bound(scheme.length, lambda m, n: jlen + 2 * scheme.length(m + 1),
                          "pair-scheme window (junk + 2 * next level length)") if is_gap else None
 
-    prov = Provenance("scheme", {"name": getattr(scheme, "name", "?"), "mode": mode,
+    prov = Provenance("scheme", {"name": scheme.name, "mode": mode,
                                  "policy": str(policy), "junk": junk_word.text})
     return Sequence.from_chunks(scheme.alphabet, chunks(), bound=bound, provenance=prov)
 

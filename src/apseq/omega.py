@@ -81,6 +81,7 @@ class BuchiAutomaton:
             seen[(q, a)] = q2
         return all((q, a) in seen for q in self.states for a in self.alphabet)
 
+    @property
     def delta(self) -> dict:
         if not self.deterministic:
             raise UnsupportedFeature(
@@ -103,7 +104,7 @@ class Verdict:
 def run(automaton, x: Sequence, steps: int) -> list:
     """The first ``steps`` states of the run: state 0 is the initial
     state, state i+1 follows by reading x(i)."""
-    delta = _delta(automaton)
+    delta = automaton.delta
     syms = x.alphabet.symbols
     xs = x.prefix_array(max(steps - 1, 0)).tolist()
     states = [automaton.initial]
@@ -127,10 +128,6 @@ def limit_set_oracle(automaton, x: Sequence, horizon: int) -> frozenset:
     return frozenset(states[horizon // 2:])
 
 
-def _delta(automaton) -> dict:
-    return automaton.delta() if isinstance(automaton, BuchiAutomaton) else automaton.delta
-
-
 def _no_transition(key: tuple) -> SpecError:
     return SpecError(f"automaton has no transition at {key}")
 
@@ -146,7 +143,7 @@ def _certified_limit_set(automaton, x: Sequence):
         raise NoCertifiedBound(
             f"{x.provenance} carries no certified regulator bound; acceptance is "
             "decided only for sequences with one (the decidability boundary)")
-    delta = _delta(automaton)
+    delta = automaton.delta
     m = len(automaton.states)
     g = bound_formulas(x.certified_bound, m)["image"]
     w = g(1)

@@ -305,9 +305,7 @@ def split(x: Sequence, marker: str, horizon: int) -> Sequence:
     if len(blocks) < 2:
         raise SpecError(f"marker {marker!r} does not cut twice within the horizon")
     kinds = sorted(set(blocks))
-    insyms = x.alphabet.symbols
-    sep = "" if x.alphabet.single_char else ","
-    out = Alphabet(tuple(sep.join(insyms[c] for c in b) for b in kinds))
+    out = Alphabet(tuple(Word._of(x.alphabet, b).text for b in kinds))
     base, top = len(x.alphabet) + 1, max(map(len, kinds))
     weight = np.array([base**j for j in range(top + 1)],
                       dtype=np.int64 if base**top < 2**63 else object)

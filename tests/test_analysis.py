@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from apseq import analysis as A
 from apseq import generators as G
-from apseq.core import Alphabet, Word
+from apseq.core import Alphabet, Segment, Word
 from apseq.errors import HorizonExhausted, SpecError
 
 B = Alphabet.binary()
@@ -174,7 +175,7 @@ def test_finitely_occurring_words_are_built_when_read(case):
     if x.provenance.family == "eventually_periodic":
         reports.append(A.certified_regulator(x, n))
     for words in (rep.finitely_occurring for rep in reports):
-        eager = [A._factor_word(x, int(s), n) for s in words.starts]
+        eager = [x.segment(Segment(int(s), int(s) + n - 1)) for s in words.starts]
         assert len(words) == len(eager) and list(words) == eager and words == eager
         assert (words == []) == (eager == []) and words != eager + [x.prefix(n)]
         assert words[1:] == eager[1:] and words[::-2] == eager[::-2] and words[:0] == []
@@ -418,9 +419,9 @@ def test_quasiperiods_fibonacci_prefix(fib):
 
 def test_quasiperiods_match_oracle_random():
     rng = random.Random(31)
-    for _ in range(200):
-        m = rng.randrange(1, 13)
-        text = "".join(rng.choice("ab") for _ in range(m))
+    sampled = ("".join(rng.choice("ab") for _ in range(rng.randrange(1, 13))) for _ in range(200))
+    every = ("".join(t) for m in range(1, 13) for t in itertools.product("ab", repeat=m))
+    for text in itertools.chain(sampled, every):
         got = {q.text for q in A.quasiperiods(G.word_from_text(text)).quasiperiods}
         assert got == set(oracles.quasiperiods(text)), text
 

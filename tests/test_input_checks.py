@@ -68,12 +68,14 @@ CHECKS = [
      "agreement_length requires a common alphabet"),
     (lambda: shift(G.thue_morse(), -1), SpecError, "shift offset must be >= 0"),
     # generators
-    (lambda: G.periodic(""), SpecError, "alphabet must contain at least one symbol"),
+    (lambda: Alphabet(()), SpecError, "alphabet must contain at least one symbol"),
+    (lambda: G.periodic(""), SpecError, "period must be nonempty"),
     (lambda: G.periodic(Word(B, ())), SpecError, "period must be nonempty"),
     (lambda: G.eventually_periodic(AB.word("a"), B.word("0")), SpecError,
      "preperiod and period must share an alphabet"),
     (lambda: G.eventually_periodic(B.word("0"), Word(B, ())), SpecError,
      "period must be nonempty"),
+    (lambda: G.eventually_periodic("", ""), SpecError, "period must be nonempty"),
     (lambda: G.with_prefix(AB.word("a"), G.thue_morse()), SpecError,
      "prefix word must be over the sequence alphabet"),
     (lambda: G.RealParam(), SpecError,

@@ -152,7 +152,7 @@ def test_sees_letter_on_golden_word_via_oracle(fib):
     assert limit & sees1.accepting
 
 
-def test_refusals(tm, kolak):
+def test_refusals(tm, fib, kolak):
     tracker = O.both_letters_tracker()
     with pytest.raises(NoCertifiedBound):
         O.decide_muller(tracker, kolak)
@@ -166,8 +166,12 @@ def test_refusals(tm, kolak):
                                      ("b", "1", "b")}),
                           frozenset({"b"}))
     assert not nd.deterministic
-    with pytest.raises(UnsupportedFeature):
-        O.decide_buchi_det(nd, tm)
+    for probe in (lambda: O.decide_buchi_det(nd, tm), lambda: O.run(nd, tm, 10),
+                  lambda: O.limit_set_oracle(nd, tm, 10)):
+        with pytest.raises(UnsupportedFeature):
+            probe()
+    with pytest.raises(NoCertifiedBound):  # the bound is checked before the moves are read
+        O.decide_buchi_det(nd, fib)
 
 
 def test_window_sufficiency_spot_check(tm, p01, scheme_seq):

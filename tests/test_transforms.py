@@ -217,6 +217,16 @@ def test_split_roundtrip(tm):
     assert restored.text == tm.prefix(len(first) + len(restored)).text[len(first):]
 
 
+def test_split_names_multi_character_blocks_with_commas():
+    abc = Alphabet.of("ab", "c", "dd")
+    x = G.periodic(abc.word(["ab", "ab", "c", "dd", "c"]))
+    s = T.split(x, "c", 100)
+    assert s.alphabet.symbols == ("ab,ab,c", "dd,c")
+    assert [s[i] for i in range(3)] == ["dd,c", "ab,ab,c", "dd,c"]
+    restored = T.unsplit(s, 4, abc)
+    assert restored == x.prefix(3 + len(restored))[3:]
+
+
 def test_split_reads_a_chunk_without_a_marker():
     # every block past the first is 5000 codes long, so a whole read chunk holds no marker
     word = "1" + "0" * 4999
