@@ -153,7 +153,10 @@ def _block_product(s: SequenceSpec, seed) -> Sequence:
 
 def _alternating_morphic(s: SequenceSpec, seed) -> Sequence:
     rules = s.require("rules")
-    alpha = Alphabet(tuple(sorted(set(rules) - set(",:|"))))
+    letters = set(rules) - set(",:|")
+    if not letters:  # before an alphabet is inferred from it
+        raise SpecError("rules must name at least one letter")
+    alpha = Alphabet(tuple(sorted(letters)))
     morphs = tuple(_parse_rules(t, alpha) for t in rules.split("|"))
     return G.alternating_morphic(G.AlternatingMorphismSystem(morphs, s.require("seed")))
 

@@ -7,8 +7,9 @@ Conventions used throughout the toolkit:
 * symbols are opaque tokens with printable names (plain strings); binary
   sequences use the names "0" and "1".
 
-A Sequence is an immutable value over a store of symbol codes (one int64
-buffer) that grows monotonically in chunks.
+A Sequence is an immutable value over a store of symbol codes (one buffer
+in its alphabet's narrowest unsigned dtype, one byte per symbol up to 256
+letters) that grows monotonically in chunks.
 Evaluation past the horizon cap (default 10**7 symbols) raises
 :class:`HorizonExhausted` instead of blocking forever.
 """
@@ -82,6 +83,11 @@ class Alphabet:
     @property
     def single_char(self) -> bool:
         return all(len(s) == 1 for s in self.symbols)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The narrowest unsigned dtype that holds every code (uint8 up to 256 symbols)."""
+        return np.min_scalar_type(len(self.symbols) - 1)
 
 
 @dataclass(frozen=True)
@@ -233,10 +239,12 @@ class _Store:
 class Sequence:
     """An immutable infinite symbolic stream.
 
-    ``extend`` receives the store (an int64 buffer whose ``len`` is the
-    number of codes filled) and a target length, and must append codes
-    with ``store.extend(codes)`` until the store reaches at least that
-    length; it is called under the sequence lock.  Only :meth:`from_chunks`
+    ``extend`` receives the store (a buffer in ``alphabet.dtype`` whose
+    ``len`` is the number of codes filled) and the number n of codes the
+    read needs, and must append codes with ``store.extend(codes)`` until
+    the store holds at least n; it may go on to the next multiple of
+    _CHUNK within the capacity, which the horizon cap bounds.  It is
+    called under the sequence lock.  Only :meth:`from_chunks`
     builds one, from a generator that keeps its state in its locals (the
     block products, fixed points, schemes and machine transforms), itself or
     for :meth:`from_index_fn` (a vector oracle: int64 index array -> code
@@ -253,7 +261,7 @@ class Sequence:
         self.certified_bound = bound
         self.provenance = provenance or Provenance("anonymous")
         self.horizon_cap = horizon_cap
-        self._store = _Store(np.int64)
+        self._store = _Store(alphabet.dtype)
         self._lock = threading.RLock()
 
     @staticmethod
@@ -292,22 +300,26 @@ class Sequence:
         """Sequence fed by a deterministic iterator of integer arrays or
         symbol-code lists, copied into the store as they are needed.
 
-        Chunks may have any length, empty included; the part of a chunk past
-        the requested target waits behind an offset for the next read.  Reads
-        past the end of the iterator raise :class:`HorizonExhausted`; an
-        exception from the iterator is raised again by every later read that
-        needs new codes.
+        Chunks may have any length, empty included.  A read pulls no chunk
+        once it is served; the rest of the last chunk is copied up to the next
+        multiple of _CHUNK, and what lies past that waits behind an offset for
+        the next read.  Reads past the end of the iterator raise
+        :class:`HorizonExhausted`; an exception from the iterator is raised
+        again by every later read that needs new codes.
         """
         it = iter(chunks)
         chunk, off, fault = (), 0, None
 
-        def extend(store, target):
+        def extend(store, n):
             nonlocal chunk, off, fault
             if fault is not None:
                 raise fault.with_traceback(None)
+            target = min(-(-n // _CHUNK) * _CHUNK, store.data.size)  # _fill reserved it, within the cap
             try:
                 while len(store) < target:
                     if off == len(chunk):
+                        if len(store) >= n:
+                            break
                         chunk, off = next(it), 0
                         if isinstance(chunk, (list, tuple)) and len(alphabet) <= 256:
                             chunk = np.frombuffer(bytes(chunk), np.uint8)  # 3x numpy's speed
@@ -339,7 +351,7 @@ class Sequence:
             if store.data.size < target:  # doubling, or the whole target at once
                 store.reserve(max(min(2 * store.data.size, self.horizon_cap), target))
             try:
-                self._extend(store, target)
+                self._extend(store, n)
             except ApseqError:  # codes made before the fault still serve this read
                 if store.size < n:
                     raise
@@ -371,8 +383,9 @@ class Sequence:
         return self._view(0, self._store.size).tolist()
 
     def prefix_array(self, n: int) -> np.ndarray:
-        """The first n symbol codes as a read-only int64 view of the store
-        (no copy; it stays valid while the store grows)."""
+        """The first n symbol codes as a read-only view of the store, in
+        ``alphabet.dtype`` (no copy; it stays valid while the store grows).
+        Widen the codes before arithmetic that can pass the dtype's range."""
         return self._view(0, n)
 
     def chunks(self, start: int = 0) -> Iterator[np.ndarray]:

@@ -43,8 +43,8 @@ def word_from_text(text: str | Word, alphabet: Alphabet | None = None) -> Word:
 
 
 def _code_array(codes, alphabet: Alphabet) -> np.ndarray:
-    """Codes as an array of the narrowest unsigned dtype for the alphabet."""
-    return np.array(codes, dtype=np.min_scalar_type(len(alphabet) - 1))
+    """Codes as an array of the alphabet's dtype, the one its sequences store."""
+    return np.array(codes, dtype=alphabet.dtype)
 
 
 def _level_bound(length, window, provenance: str) -> Bound:
@@ -907,7 +907,10 @@ class ToeplitzPattern:
 
     @staticmethod
     def from_text(text: str) -> "ToeplitzPattern":
-        alphabet = Alphabet(tuple(sorted(set(text) - set(HOLE_CHARS))))
+        letters = set(text) - set(HOLE_CHARS)
+        if not letters:  # all holes, or empty: before an alphabet is inferred from it
+            raise SpecError("pattern needs 1 <= holes < length")
+        alphabet = Alphabet(tuple(sorted(letters)))
         return ToeplitzPattern(alphabet, pattern_slots(text, alphabet))
 
     @property

@@ -268,7 +268,8 @@ def product(x: Sequence, y: Sequence) -> Sequence:
 
     def fn(i: np.ndarray) -> np.ndarray:
         j = int(i[-1]) + 1
-        return x.prefix_array(j)[i[0]:] * ky + y.prefix_array(j)[i[0]:]
+        xs = x.prefix_array(j)[i[0]:].astype(np.int64)  # pair codes pass the factors' dtypes
+        return xs * ky + y.prefix_array(j)[i[0]:]
 
     bound = None
     p = y.provenance.params.get("period_len") if y.provenance.family == "periodic" else None
@@ -326,7 +327,8 @@ def split(x: Sequence, marker: str, horizon: int) -> Sequence:
             rest, cut = [xs[cut[-1]:]], cut + (seg.size - cut[-1])
             starts = np.concatenate(([0], cut[:-1]))
             pos = np.repeat(cut - 1, cut - starts) - np.arange(seg.size)  # places to the block end
-            name = np.add.reduceat((seg + 1) * weight[np.minimum(pos, top)], starts)
+            digit = seg.astype(weight.dtype) + 1  # widened: code 255 + 1 wraps in uint8
+            name = np.add.reduceat(digit * weight[np.minimum(pos, top)], starts)
             i = np.minimum(np.searchsorted(names, name), names.size - 1)
             known = (names[i] == name) & (cut - starts <= top)
             bad = np.flatnonzero(~known)

@@ -261,6 +261,16 @@ def mechanical(alpha, rho, length, upper=False):
     return [vals[n + 1] - vals[n] for n in range(length)]
 
 
+def product(xs, ys, ky):
+    """Pair codes x * ky + y of two code lists, ky the size of the second alphabet."""
+    return [x * ky + y for x, y in zip(xs, ys)]
+
+
+def morphism_image(images, codes):
+    """The concatenated images (code -> list of codes) of the codes."""
+    return [c for a in codes for c in images[a]]
+
+
 def transduce(emit, step, initial, codes):
     """Output codes of a sequential machine, one input code at a time:
     emit[(q, c)] is the list of output codes and step[(q, c)] the next

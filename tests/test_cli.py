@@ -607,13 +607,14 @@ GOLDEN_SPECS = [
     "aperiodicity_witness k=5", "aperiodicity_witness k=12", "aperiodicity_witness",
     "aperiodicity_witness k=2", "aperiodicity_witness k=x",
 ]
-GOLDEN_EXTRA = [s + " extra=1" for s in (
+FAMILY_SPECS = [  # one valid spec per family
     "periodic period=01", "eventually_periodic pre=1 period=0", "thue_morse", "fibonacci",
     "mechanical alpha=1/2 rho=0", "morphic rules=0:01,1:10 seed=0", "automatic file={dir}/digits",
     "block_product head=01", "keane", "alternating_prefix_example", "scheme file={dir}/pairs",
     "toeplitz pattern=1_0_", "paperfolding", "kolakoski",
     "alternating_morphic rules=1:2,2:22|1:1,2:11 seed=2",
-    "progression_rewrite base_period=01 n0=4 ratio=4", "aperiodicity_witness k=5")]
+    "progression_rewrite base_period=01 n0=4 ratio=4", "aperiodicity_witness k=5"]
+GOLDEN_EXTRA = [s + " extra=1" for s in FAMILY_SPECS]
 GOLDEN_COMMANDS = [["gen", "--n", "40"], ["spec"], ["analyze", "--metric", "complexity"]]
 GOLDEN_CAPS = [None, "5000", str(2 * 10**7), "x"]
 GOLDEN_FILE = ROOT / "tests" / "golden" / "cli" / "specs.json"
@@ -640,6 +641,15 @@ def cli_matrix(folder) -> dict:
         if saved is not None:
             os.environ["APSEQ_HORIZON_CAP"] = saved
     return got
+
+
+def test_every_family_stores_one_byte_per_code(tmp_path):
+    for name, text in (("digits", DIGITS), ("pairs", PAIRS)):
+        (tmp_path / name).write_text(text)
+    assert {spec.split()[0] for spec in FAMILY_SPECS} == set(cli.FAMILIES)
+    for spec in FAMILY_SPECS:
+        x = build_sequence(SequenceSpec.parse(spec.format(dir=tmp_path)))
+        assert len(x.alphabet) <= 256 and x.prefix_array(100).itemsize == 1, spec
 
 
 def test_cli_output_matches_its_golden_file(tmp_path):

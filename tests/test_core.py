@@ -231,7 +231,7 @@ def test_prefix_array_after_growing_reads(make):
     early = []
     for n in (1, 4097, 70001):
         arr = x.prefix_array(n)
-        assert arr.dtype == np.int64 and arr.size == n
+        assert arr.dtype == np.min_scalar_type(len(x.alphabet) - 1) and arr.size == n
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1
@@ -291,7 +291,8 @@ def test_from_chunks_cuts_and_keeps_leftovers():
             yield chunk
     want = [0] * 3000 + [1] * 3000
     x = Sequence.from_chunks(Alphabet.binary(), chunks(), horizon_cap=5000)
-    assert x.codes(1) == want[:4096] and pulls == [3000, 0, 3000]
+    assert x.codes(1) == want[:3000] and pulls == [3000]  # no chunk past the one that serves
+    assert x.codes(3001) == want[:4096] and pulls == [3000, 0, 3000]
     assert x.codes(4097) == want[:5000]
     x.horizon_cap = 10**4
     for _ in range(2):

@@ -351,7 +351,7 @@ def test_choice_scheme_offers_a_choice_at_level_0_only():
         seen.append((level, len(cands)))
         return cands[0]
 
-    G.scheme_generate(G.choice_scheme(), policy=log).prefix(5)
+    G.scheme_generate(G.choice_scheme(), policy=log).prefix(4096)
     assert seen == [(0, 2), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1)]
 
 

@@ -12,7 +12,7 @@ from apseq import analysis as A
 from apseq import generators as G
 from apseq import omega as O
 from apseq import transforms as T
-from apseq.cli import SequenceSpec, parse_dfao_file, parse_scheme_file
+from apseq.cli import SequenceSpec, build_sequence, parse_dfao_file, parse_scheme_file
 from apseq.core import (Alphabet, Bound, Word, agreement_length, factors, occurrences,
                         shift)
 from apseq.errors import MachineParseError, SpecError
@@ -164,6 +164,12 @@ CHECKS = [
     (lambda: A.prouhet_partition(0), SpecError, "need n >= 1"),
     # cli
     (lambda: SequenceSpec.parse("  "), SpecError, "empty sequence spec"),
+    (lambda: build_sequence(SequenceSpec.parse("toeplitz pattern=")), SpecError,
+     "pattern needs 1 <= holes < length"),
+    (lambda: build_sequence(SequenceSpec.parse("toeplitz pattern=__")), SpecError,
+     "pattern needs 1 <= holes < length"),
+    (lambda: build_sequence(SequenceSpec.parse("alternating_morphic rules= seed=0")), SpecError,
+     "rules must name at least one letter"),
     (_parsed(parse_scheme_file, "base: 0 = 0\nexpand: 0 = 00\n"), SpecError,
      "scheme file must set kind: ap or kind: gap"),
     (_parsed(parse_dfao_file, "states: q\nstart: q\n"), MachineParseError,

@@ -441,6 +441,57 @@ def test_split_matches_the_per_symbol_reference(seed, k):
         assert s.codes(len(want))[:len(want)] == want
 
 
+# Alphabet sizes on both sides of the uint8 and uint16 store boundaries.
+SIZES = st.sampled_from([2, 16, 17, 255, 256, 257])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), SIZES, SIZES, SIZES, st.booleans())
+def test_codes_near_the_dtype_edge_match_the_per_symbol_references(seed, k, k2, m, uniform):
+    # the top code k - 1 occurs often, so a code that wraps in a narrow dtype shows
+    rng = random.Random(seed)
+    n = 2 * _CHUNK + 500
+    codes = _input(rng, k, n)
+    for i in rng.sample(range(n), 40):
+        codes[i] = k - 1
+    x = _capped(codes, k)
+    second = Alphabet.of(*range(k2))
+
+    period = [rng.randrange(k2) for _ in range(rng.randint(1, 40))] + [k2 - 1]
+    want = oracles.product(codes, period * (n // len(period) + 1), k2)
+    assert T.product(x, G.periodic(Word(second, tuple(period)))).codes(n)[:n] == want
+    want = oracles.product(codes, list(range(m)) * (n // m + 1), m)
+    assert T.cyclic(x, m).codes(n)[:n] == want
+
+    want, unknown = oracles.split(codes, k - 1, n)
+    assert unknown is None
+    assert T.split(x, str(k - 1), n).codes(len(want))[:len(want)] == want
+
+    states = ("s0", "s1", "s2")[:rng.randint(1, 3)]
+    emit = {(q, c): [rng.randrange(k2) for _ in range(1 if uniform else rng.randint(0, 3))]
+            for q in states for c in range(k)}
+    step = {(q, c): rng.choice(states) for q in states for c in range(k)}
+    machine = T.Transducer(x.alphabet, second, states, states[0],
+                           {(q, str(c)): Word(second, tuple(w)) for (q, c), w in emit.items()},
+                           {(q, str(c)): q2 for (q, c), q2 in step.items()})
+    want = oracles.transduce(emit, step, states[0], codes)[:n]  # the image's cap is x's
+    assert T.transduce(machine, x).codes(len(want))[:len(want)] == want
+
+    images = [[rng.randrange(k2) for _ in range(rng.randint(1, 3))] for _ in range(k)]
+    phi = G.Morphism(x.alphabet, second,
+                     {str(c): Word(second, tuple(im)) for c, im in enumerate(images)})
+    want = oracles.morphism_image(images, codes)[:n]
+    assert T.apply_morphism(phi, x).codes(len(want))[:len(want)] == want
+
+
+def test_product_code_past_255_is_not_wrapped():
+    # 17 * 16 letters: position 16 pairs code 16 with code 0, which is 16 * 16 + 0 = 256
+    x = G.periodic(Word(Alphabet.of(*range(17)), tuple(range(17))))
+    y = G.periodic(Word(Alphabet.of(*range(16)), tuple(range(16))))
+    assert x.prefix_array(17).dtype == np.uint8
+    assert T.product(x, y).code_at(16) == 256
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32), st.integers(2, 3), st.integers(1, 3), st.booleans())
 def test_pushdown_matches_the_per_symbol_reference(seed, k, m, total):
