@@ -197,6 +197,27 @@ class Bound:
 
 
 @dataclass(frozen=True)
+class Substitutive:
+    """The description x = psi(sigma^omega(seed)) of a substitutive word.
+
+    ``sigma`` maps the letters 0..r-1 to tuples of letters, with
+    sigma(seed) = seed u and u nonempty, so that sigma^k(seed) is a
+    prefix of sigma^(k+1)(seed); ``psi`` maps them to nonempty tuples of
+    codes of the sequence's alphabet.
+    """
+
+    sigma: tuple
+    seed: int
+    psi: tuple
+
+    def __post_init__(self):
+        head = self.sigma[self.seed]
+        if len(head) < 2 or head[0] != self.seed or not all(self.psi):
+            raise SpecError("a substitutive description needs sigma(seed) = seed u, "
+                            "u nonempty, and a nonerasing psi")
+
+
+@dataclass(frozen=True)
 class Provenance:
     """Construction descriptor: family name plus family-specific parameters."""
 
@@ -251,14 +272,19 @@ class Sequence:
     array; the families computed position by position).  The same index
     always yields the same symbol.  A stream whose generator raised stays
     failed: later reads that need new codes raise the same class again.
+
+    ``substitutive``, when a constructor knows one, describes the same word
+    as a :class:`Substitutive`; transforms do not carry it to their images.
     """
 
     def __init__(self, alphabet: Alphabet, extend, *, bound: Optional[Bound] = None,
                  provenance: Optional[Provenance] = None,
-                 horizon_cap: int = DEFAULT_HORIZON_CAP):
+                 horizon_cap: int = DEFAULT_HORIZON_CAP,
+                 substitutive: Optional[Substitutive] = None):
         self.alphabet = alphabet
         self._extend = extend
         self.certified_bound = bound
+        self.substitutive = substitutive
         self.provenance = provenance or Provenance("anonymous")
         self.horizon_cap = horizon_cap
         self._store = _Store(alphabet.dtype)
@@ -409,9 +435,9 @@ class Sequence:
         return Word(self.alphabet, tuple(self._view(seg.i, seg.j + 1).tolist()))
 
     def with_bound(self, bound: Bound) -> "Sequence":
-        """Same stream and store with a (caller-asserted) certified bound attached."""
+        """Same stream, store and description with a (caller-asserted) certified bound attached."""
         out = Sequence(self.alphabet, self._extend, bound=bound, provenance=self.provenance,
-                       horizon_cap=self.horizon_cap)
+                       horizon_cap=self.horizon_cap, substitutive=self.substitutive)
         out._store, out._lock = self._store, self._lock
         return out
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _CHUNK, Alphabet, Bound, Provenance, Sequence, Word, _Store
+from .core import _CHUNK, Alphabet, Bound, Provenance, Sequence, Substitutive, Word, _Store
 from .errors import GenerationStuck, HorizonExhausted, PrecisionExhausted, SpecError
 
 BINARY = Alphabet.binary()
@@ -66,6 +66,7 @@ def periodic(period) -> Sequence:
 
     Certified bound: n + |period| - 1; a window of that length covers a
     full residue cycle, so it contains every length-n factor.
+    Description: sigma(a) = aa, psi(a) = period.
     """
     if not period:  # before an alphabet is inferred from it
         raise SpecError("period must be nonempty")
@@ -74,7 +75,8 @@ def periodic(period) -> Sequence:
     codes = _code_array(w.codes, w.alphabet)
     bound = Bound(lambda n: n + p - 1, f"periodic window, period {p}")
     prov = Provenance("periodic", {"period": w.text, "period_len": p})
-    return Sequence.from_index_fn(w.alphabet, lambda i: codes[i % p], bound=bound, provenance=prov)
+    return Sequence.from_index_fn(w.alphabet, lambda i: codes[i % p], bound=bound, provenance=prov,
+                                  substitutive=Substitutive(((0, 0),), 0, (w.codes,)))
 
 
 def eventually_periodic(pre, period) -> Sequence:
@@ -84,6 +86,8 @@ def eventually_periodic(pre, period) -> Sequence:
     max(|pre| + n, n + |period| - 1) is not sound: a window that straddles
     the preperiod boundary needs the full preperiod plus one residue cycle
     before it is guaranteed to contain every recurring factor.
+    Description, for a nonempty preperiod: sigma(a) = ab, sigma(b) = bb,
+    psi(a) = pre, psi(b) = period.
     """
     if not period:  # before an alphabet is inferred from it
         raise SpecError("period must be nonempty")
@@ -99,7 +103,8 @@ def eventually_periodic(pre, period) -> Sequence:
     prov = Provenance("eventually_periodic",
                       {"pre": u.text, "period": w.text, "pre_len": k, "period_len": p})
     fn = lambda i: codes[np.where(i < k, i, k + (i - k) % p)]
-    return Sequence.from_index_fn(u.alphabet, fn, bound=bound, provenance=prov)
+    desc = Substitutive(((0, 1), (1, 1)), 0, (u.codes, w.codes)) if k else None
+    return Sequence.from_index_fn(u.alphabet, fn, bound=bound, provenance=prov, substitutive=desc)
 
 
 def constant(symbol: str) -> Sequence:
@@ -130,7 +135,7 @@ def thue_morse(definition: str = "recurrence") -> Sequence:
     aligned blocks b/~b of size 2**m whose block code is the sequence
     itself; cube-freeness puts both block kinds in any four consecutive
     blocks, and one extra doubling level absorbs factors that straddle a
-    block boundary.
+    block boundary.  Description: sigma = 0 -> 01, 1 -> 10, psi the identity.
     """
     if definition == "recurrence":
         seq = block_product_seq(["01"])
@@ -142,6 +147,7 @@ def thue_morse(definition: str = "recurrence") -> Sequence:
         raise SpecError(f"unknown definition {definition!r}")
 
     seq.provenance = Provenance("thue_morse", {"definition": definition})
+    seq.substitutive = Substitutive(((0, 1), (1, 0)), 0, ((0,), (1,)))
     seq.certified_bound = _level_bound(lambda m: 1 << m, lambda m, n: 1 << (m + _DOUBLING_SHIFT),
                                        "doubling-block window argument")
     return seq
@@ -530,9 +536,12 @@ def block_product_seq(blocks, *, assert_both_letters: bool = False) -> Sequence:
     """Limit of the iterated block product of a list of binary words whose
     last entry repeats forever (01 alone gives the doubling word).
 
-    The blocks are checked here: every block past the first must be
-    nonempty and start with 0.  A repeated last block of length 1 adds
-    nothing, so the stream ends after the product of the earlier blocks.
+    The blocks are checked here: every block must be nonempty, and every
+    block past the first, and the first when it is the repeated one, must
+    start with 0.  A repeated last block of length 1 adds nothing, so the
+    stream ends after the product of the earlier blocks.  A longer one, T,
+    gives the description sigma = mu_T, psi = mu_{b_0} ... mu_{b_{k-1}} of
+    the blocks before it, with mu_b(0) = b and mu_b(1) its complement.
     With ``assert_both_letters`` the caller asserts that every block past
     the first contains both letters; under that assertion the sequence
     carries the certified bound 4 * l_{m+1} + 2 * l_m + n with l_m the
@@ -550,7 +559,7 @@ def block_product_seq(blocks, *, assert_both_letters: bool = False) -> Sequence:
             raise SpecError("blocks must be binary")
         if len(w) == 0:
             raise SpecError(f"block {k} is empty")
-        if k >= 1 and w.codes[0] != 0:
+        if (k >= 1 or len(words) == 1) and w.codes[0] != 0:
             raise SpecError(f"block {k} does not start with 0")
         if assert_both_letters and k >= 1 and len(set(w.codes)) != 2:
             raise SpecError(f"block {k} lacks both letters but the bound asserts them")
@@ -569,9 +578,15 @@ def block_product_seq(blocks, *, assert_both_letters: bool = False) -> Sequence:
 
     bound = _level_bound(level_len, lambda m, n: 4 * level_len(m + 1) + 2 * level_len(m) + n,
                          "block product window (4*l_{m+1} + 2*l_m + n)") if assert_both_letters else None
-
+    desc, tail = None, words[-1].codes
+    if len(tail) >= 2:
+        head = np.zeros(1, dtype=np.uint8)
+        for w in words[:-1]:
+            head = (np.array(w.codes, dtype=np.uint8)[:, None] ^ head).ravel()
+        desc = Substitutive((tail, tuple(1 - c for c in tail)), 0,
+                            (tuple(head.tolist()), tuple((1 - head).tolist())))
     return Sequence.from_chunks(BINARY, chunks(), bound=bound,
-                                provenance=Provenance("block_product"))
+                                provenance=Provenance("block_product"), substitutive=desc)
 
 
 def keane() -> Sequence:

@@ -8,6 +8,12 @@ through the uniform-image window formula to get g, and read the states
 occurring in the segment [g(1), 2 g(1) - 1] of the state stream — by the
 bound, those are precisely the states that never stop occurring.
 
+That set comes from one of two paths.  A word that carries a substitutive
+description x = psi(sigma^omega(a)) is never read: the states of the
+segment follow from per-letter state summaries of the blocks
+psi(sigma^k(c)), composed along sigma.  Any other word is generated up to
+2 g(1) and its symbols are scanned.
+
 Sequences without a certified bound are refused: acceptance for a
 deterministic automaton is decidable exactly on the sequences whose
 regulator admits a computable bound, and the engine's refusal mirrors
@@ -152,29 +158,40 @@ def _certified_limit_set(automaton, x: Sequence):
             f"certified window [{w}, {2*w - 1}] exceeds the horizon cap "
             f"{x.horizon_cap}; raise the cap to decide this pair",
             needed=2 * w, cap=x.horizon_cap)
-    limit = _window_states(automaton.initial, delta, x.alphabet, x.prefix_array(2 * w), w)
+    if x.substitutive is None:
+        limit = _window_states(automaton.initial, delta, x.alphabet, x.prefix_array(2 * w), w)
+    else:
+        limit = _described_window_states(automaton.initial, delta, x, w)
     return limit, Segment(w, 2 * w - 1), g.provenance
+
+
+def _state_table(initial, delta: dict, alphabet: Alphabet):
+    """(states, table): delta as a table for :func:`run_states`, with a
+    row per state, the initial one first, and a last row for the sink
+    state that stands for a missing transition."""
+    k = len(alphabet)
+    states = list(dict.fromkeys([initial, *(q for q, _a in delta), *delta.values()]))
+    index = {q: i * k for i, q in enumerate(states)}
+    table = np.full((len(states) + 1, k), len(states) * k, dtype=np.intp)
+    for (q, a), q2 in delta.items():
+        if a in alphabet:
+            table[index[q] // k, alphabet.index(a)] = index[q2]
+    return states, table
 
 
 def _window_states(initial, delta: dict, alphabet: Alphabet, xs: np.ndarray, w: int) -> frozenset:
     """The states q_i, w <= i < 2w, of the run q_0 = initial,
     q_{i+1} = delta(q_i, xs[i]).
 
-    delta becomes a table for :func:`run_states`, with a sink state
-    standing for a missing transition.  The symbols go through it a chunk
-    at a time; a chunk before the window needs only its exit state, and a
-    chunk that reaches the sink is run again for the first missing one.
+    The symbols go through the state table a chunk at a time; a chunk
+    before the window needs only its exit state, and a chunk that reaches
+    the sink is run again for the first missing transition.
     """
+    states, table = _state_table(initial, delta, alphabet)
     syms, k = alphabet.symbols, len(alphabet)
-    states = list(dict.fromkeys([initial, *(q for q, _a in delta), *delta.values()]))
-    index = {q: i * k for i, q in enumerate(states)}
     sink = len(states) * k
-    table = np.full((len(states) + 1, k), sink, dtype=np.intp)
-    for (q, a), q2 in delta.items():
-        if a in alphabet:
-            table[index[q] // k, alphabet.index(a)] = index[q2]
     seen = np.zeros(sink, dtype=bool)
-    q = index[initial]
+    q = 0
     for lo in range(0, 2 * w, _SCAN_CHUNK):
         part = xs[lo:min(lo + _SCAN_CHUNK, 2 * w)]
         entry = q
@@ -186,6 +203,68 @@ def _window_states(initial, delta: dict, alphabet: Alphabet, xs: np.ndarray, w: 
         if before is not None:
             seen[before[max(w - lo, 0):]] = True
     return frozenset(states[i // k] for i in np.flatnonzero(seen))
+
+
+def _described_window_states(initial, delta: dict, x: Sequence, w: int) -> frozenset:
+    """What :func:`_window_states` finds in x's first 2w codes, computed
+    from x = psi(sigma^omega(seed)) without reading x.
+
+    Each block psi(sigma^k(c)) has a summary: its exit state and the set
+    of states it visits, from every entry state.  Level 0 runs psi(c)
+    through the state table; level k+1 composes level k along sigma(c).
+    The walk descends from the first level whose seed block covers
+    [0, 2w): a block before w only moves the state, a block inside
+    [w, 2w) adds its visits, and only the blocks that cut w or 2w are
+    split.  A run that reaches the sink goes to the scan, which names the
+    first missing transition.
+    """
+    d = x.substitutive
+    states, table = _state_table(initial, delta, x.alphabet)
+    k, n = table.shape[1], len(table)           # rows; the sink is the last
+    psi = [np.array(img, dtype=np.intp) for img in d.psi]
+    exits, visits = np.empty((len(psi), n), dtype=np.intp), np.zeros((len(psi), n, n), dtype=bool)
+    for c, img in enumerate(psi):
+        for s in range(n):
+            before, q = run_states(table, s * k, img)
+            exits[c, s] = q // k
+            visits[c, s, before // k] = True
+    levels, lens = [(exits, visits)], [[len(img) for img in psi]]
+    while lens[-1][d.seed] < 2 * w:
+        exits, visits = np.empty_like(exits), np.zeros_like(visits)
+        for c, image in enumerate(d.sigma):
+            e = np.arange(n)
+            for b in image:
+                visits[c] |= levels[-1][1][b, e]
+                e = levels[-1][0][b, e]
+            exits[c] = e
+        levels.append((exits, visits))
+        lens.append([sum(lens[-1][b] for b in image) for image in d.sigma])
+    seen = np.zeros(n, dtype=bool)
+
+    def walk(level, c, p, s):
+        """The state at min(end, 2w) of the block (level, c) that starts
+        at p < 2w in state s."""
+        end = p + lens[level][c]
+        exits, visits = levels[level]
+        if end <= w:
+            return exits[c, s]
+        if w <= p and end <= 2 * w:
+            seen[visits[c, s]] = True
+            return exits[c, s]
+        if level == 0:
+            before, q = run_states(table, s * k, psi[c][:2 * w - p])
+            seen[before[max(w - p, 0):] // k] = True
+            return q // k
+        for b in d.sigma[c]:
+            if p >= 2 * w:
+                break
+            s = walk(level - 1, b, p, s)
+            p += lens[level - 1][b]
+        return s
+
+    if walk(len(levels) - 1, d.seed, 0, 0) == n - 1:
+        return _window_states(initial, delta, x.alphabet, x.prefix_array(2 * w), w)
+    return frozenset(states[i] for i in np.flatnonzero(seen))
 
 
 def decide_muller(automaton: MullerAutomaton, x: Sequence) -> Verdict:

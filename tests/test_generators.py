@@ -235,6 +235,38 @@ def test_block_product_seq_validation():
         G.block_product_seq(["01", "00"], assert_both_letters=True).prefix(8)
 
 
+@st.composite
+def described_words(draw):
+    """A word that its constructor describes as substitutive: a random
+    block stream, thue_morse under each definition, or a periodic or
+    eventually periodic word over two or three letters."""
+    kind = draw(st.sampled_from(["blocks", "thue_morse", "periodic", "eventually_periodic"]))
+    if kind == "blocks":
+        heads = draw(st.lists(st.text("01", min_size=1, max_size=4), max_size=3))
+        tail = "0" + draw(st.text("01", min_size=1, max_size=3))
+        return G.block_product_seq([b if i == 0 else "0" + b[1:] for i, b in enumerate(heads)]
+                                   + [tail])
+    if kind == "thue_morse":
+        return G.thue_morse(draw(st.sampled_from(["recurrence", "digit_sum", "morphic"])))
+    letters = "012"[:draw(st.integers(2, 3))]
+    abc, word = Alphabet(tuple(letters)), st.text(letters, min_size=1, max_size=6)
+    if kind == "periodic":
+        return G.periodic(abc.word(draw(word)))
+    return G.eventually_periodic(abc.word(draw(word)), abc.word(draw(word)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=described_words())
+def test_description_expands_to_the_generated_word(x):
+    n, d = 10**4, x.substitutive
+    sigma = G._image_table(list(d.sigma), Alphabet.of(*range(len(d.sigma))))
+    y = np.array([d.seed])
+    while len(y) < n:  # psi is nonerasing: n letters of y cover n codes
+        y = G._expand(sigma, y)
+    got = G._expand(G._image_table(list(d.psi), x.alphabet), y[:n])[:n]
+    assert np.array_equal(got, x.prefix_array(n))
+
+
 def test_alternating_prefix_imbalance():
     # |u_m|_0 - |u_m|_1 alternates sign with magnitude 2^m
     u = B.word("001")

@@ -96,6 +96,7 @@ CHECKS = [
      "block products are defined over the binary alphabet"),
     (lambda: G.block_product_seq([]), SpecError, "need at least one block"),
     (lambda: G.block_product_seq([A3.word("01")]), SpecError, "blocks must be binary"),
+    (lambda: G.block_product_seq(["10"]), SpecError, "block 0 does not start with 0"),
     (lambda: G.substitution_scheme("pairs", B, {"0": "0"}, {"0": "00"}), SpecError,
      "scheme kind must be 'ap' or 'gap'"),
     (lambda: G.substitution_scheme("gap", B, {"0": "0"}, {"0": "00"}), SpecError,

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from test_generators import described_words
 from apseq import generators as G
 from apseq import omega as O
 from apseq.core import Alphabet, Bound, Segment
@@ -94,6 +95,7 @@ def test_decision_equals_the_per_symbol_run(chunk, block, case):
     x = G.eventually_periodic(abc.word(pre), abc.word(period)) if pre \
         else G.periodic(abc.word(period))
     x = x.with_bound(Bound(lambda n: n + c, "n + c"))
+    x.substitutive = None  # decide by the scan, in the geometries under test
     w = 2 * len(aut.states) * (c + 1) - 1           # the image window of n + c
     symbols = [x.alphabet.symbols[i] for i in x.codes(2 * w)[:2 * w]]
     decide = O.decide_muller if isinstance(aut, O.MullerAutomaton) else O.decide_buchi_det
@@ -114,6 +116,48 @@ def test_decision_equals_the_per_symbol_run(chunk, block, case):
         assert v.accept == bool(want & aut.accepting)
     if c >= len(pre) + len(period) - 1:  # the bound is sound: the exact limit set
         assert want == oracles.eventual_limit_set(delta, aut.initial, pre, period)
+
+
+@st.composite
+def _deltas(draw):
+    """A transition map on 1-8 states over 0/1, with arcs on a third
+    letter "2" from the states where the draw puts them; or a counter
+    whose states tell the positions 0..39 apart."""
+    if draw(st.booleans()):
+        qs = tuple(f"t{i}" for i in range(40))
+        return qs, {(q, a): qs[min(i + 1, 39)] for i, q in enumerate(qs) for a in "012"}
+    qs = tuple(f"s{i}" for i in range(draw(st.integers(1, 8))))
+    delta = {(q, a): draw(st.sampled_from(qs)) for q in qs for a in "01"}
+    delta.update({(q, "2"): draw(st.sampled_from(qs)) for q in qs if draw(st.booleans())})
+    return qs, delta
+
+
+def _outcome(call):
+    try:
+        return call()
+    except SpecError as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(qd=_deltas(), x=described_words(), w=st.integers(1, 12) | st.integers(1, 5000))
+def test_described_window_states_equal_the_scan(qd, x, w):
+    qs, delta = qd
+    got = _outcome(lambda: O._described_window_states(qs[0], delta, x, w))
+    read = len(x._store)
+    assert got == _outcome(lambda: O._window_states(qs[0], delta, x.alphabet,
+                                                    x.prefix_array(2 * w), w))
+    if not isinstance(got, str):  # only a run that meets the sink reads x
+        assert read == 0
+
+
+def test_thue_morse_m3_is_decided_without_reading_the_word():
+    x = G.thue_morse()
+    v = O.decide_muller(O.cycle_counter_automaton(B, 3), x)
+    assert v.window == Segment(4194304, 8388607) and len(v.limit_macrostate) == 3
+    assert len(x._store) == 0
+    with pytest.raises(CostRefusal):
+        O.decide_muller(O.cycle_counter_automaton(B, 4), x)
 
 
 def test_decide_muller(tm, p01):
