@@ -200,10 +200,10 @@ class Bound:
 class Substitutive:
     """The description x = psi(sigma^omega(seed)) of a substitutive word.
 
-    ``sigma`` maps the letters 0..r-1 to tuples of letters, with
+    ``sigma`` maps the letters 0..r-1 to tuples of those letters, with
     sigma(seed) = seed u and u nonempty, so that sigma^k(seed) is a
-    prefix of sigma^(k+1)(seed); ``psi`` maps them to nonempty tuples of
-    codes of the sequence's alphabet.
+    prefix of sigma^(k+1)(seed); ``psi`` maps the same r letters to
+    nonempty tuples of codes of the sequence's alphabet.
     """
 
     sigma: tuple
@@ -211,7 +211,12 @@ class Substitutive:
     psi: tuple
 
     def __post_init__(self):
-        head = self.sigma[self.seed]
+        r = len(self.sigma)
+        if len(self.psi) != r:
+            raise SpecError(f"psi has {len(self.psi)} images for the {r} letters of sigma")
+        if any(not 0 <= b < r for image in self.sigma for b in image):
+            raise SpecError(f"sigma names a letter outside 0..{r - 1}")
+        head = self.sigma[self.seed] if 0 <= self.seed < r else ()
         if len(head) < 2 or head[0] != self.seed or not all(self.psi):
             raise SpecError("a substitutive description needs sigma(seed) = seed u, "
                             "u nonempty, and a nonerasing psi")

@@ -626,6 +626,8 @@ class Scheme:
     ``level_length`` (n -> l_n) and ``level_codes`` (n -> the B_n words as
     code arrays, in ``level(n)[1]`` order) are optional shortcuts that let
     bounds and :func:`scheme_generate` skip building ``Word`` objects.
+    ``substitutive`` describes the chain that AP generation under the lex
+    policy emits, when :func:`substitution_scheme` can prove it forced.
     """
 
     alphabet: Alphabet
@@ -633,6 +635,7 @@ class Scheme:
     name: str = "scheme"
     level_length: "callable | None" = None  # n -> l_n without building words
     level_codes: "callable | None" = None   # n -> B_n as code arrays
+    substitutive: Substitutive | None = None
 
     def length(self, n: int) -> int:
         return self.level_length(n) if self.level_length else self.level(n)[0]
@@ -643,7 +646,16 @@ def substitution_scheme(kind: str, alphabet: Alphabet, base: dict, expand: dict,
     """Scheme whose level-n words are indexed by letters: w_0(a) = base[a]
     and w_{n+1}(a) is the concatenation of w_n(b) over the letters b of
     expand[a].  For a pair scheme, ``pairs`` lists two-letter strings ab
-    meaning w_n(a) w_n(b) belongs to C_n."""
+    meaning w_n(a) w_n(b) belongs to C_n.
+
+    The chain is forced when psi = base is uniform and injective on
+    letters, sigma = expand is uniform, injective and of length >= 2, and
+    every sigma(c) starts with c.  Then w_n(b) = psi(sigma^n(b)) begins
+    with psi(sigma^(n-1)(b)) = w_(n-1)(b), and uniform injective maps are
+    injective on words of one length, so w_n(b) extends w_(n-1)(a) only
+    for b = a.  The lex policy picks at level 0 the letter a with the
+    least base word, and the chain is psi(sigma^omega(a)): the scheme
+    carries that description."""
     letters = list(expand.keys())
     if kind not in ("ap", "gap"):
         raise SpecError("scheme kind must be 'ap' or 'gap'")
@@ -658,27 +670,33 @@ def substitution_scheme(kind: str, alphabet: Alphabet, base: dict, expand: dict,
     if kind == "gap" and any(len(p) != 2 or not set(p) <= set(letters) for p in pairs):
         raise SpecError(f"junction pairs {pairs} are not all two scheme letters")
 
+    psi = [word_from_text(base[a], alphabet).codes for a in letters]
+
     @lru_cache(maxsize=None)
     def codes(n: int) -> tuple:
         if n == 0:
-            return tuple(_code_array(word_from_text(base[a], alphabet).codes, alphabet) for a in letters)
+            return tuple(_code_array(w, alphabet) for w in psi)
         prev = dict(zip(letters, codes(n - 1)))
         empty = prev[letters[0]][:0]  # an empty expansion still gives an array of the dtype
         return tuple(np.concatenate([empty, *(prev[b] for b in expand[a])]) for a in letters)
 
-    base_lens = {len(word_from_text(base[a], alphabet)) for a in letters}
-    expand_lens = {len(expand[a]) for a in letters}
-    length_fn = None
-    if len(base_lens) == 1 and len(expand_lens) == 1:
-        l0, k = base_lens.pop(), expand_lens.pop()
+    base_lens, expand_lens = {len(w) for w in psi}, {len(expand[a]) for a in letters}
+    length_fn = desc = None
+    if len(base_lens) == len(expand_lens) == 1:
+        (l0,), (k,) = base_lens, expand_lens
         length_fn = lambda n: l0 * k**n
+        index = {a: i for i, a in enumerate(letters)}
+        sigma = tuple(tuple(index[b] for b in expand[a]) for a in letters)
+        if (l0 >= 1 and k >= 2 and all(img[0] == c for c, img in enumerate(sigma))
+                and len(set(psi)) == len(set(sigma)) == len(letters)):
+            desc = Substitutive(sigma, psi.index(min(psi)), tuple(psi))
 
     def level(n):
         ws = {a: Word._of(alphabet, tuple(c.tolist())) for a, c in zip(letters, codes(n))}
         data = len(ws[letters[0]]), tuple(ws[a] for a in letters)
         return data + (_PairWords(ws, pairs),) if kind == "gap" else data
 
-    return Scheme(alphabet, level, name, length_fn, codes)
+    return Scheme(alphabet, level, name, length_fn, codes, desc)
 
 
 class _PairWords:
@@ -827,7 +845,8 @@ def scheme_generate(scheme, mode: str = "AP", policy="lex", seed=None,
     |junk| + 2 * l_{m+1} (a window that long contains a whole aligned
     level-(m+1) block, and every pair word sits inside every such block).
     AP-scheme outputs carry no bound: no window argument is available
-    without the pair sets.
+    without the pair sets.  AP generation under the lex policy carries the
+    scheme's description of its forced chain, when it has one.
     """
     is_gap = len(scheme.level(0)) == 3
     if mode not in ("AP", "GAP"):
@@ -885,7 +904,9 @@ def scheme_generate(scheme, mode: str = "AP", policy="lex", seed=None,
 
     prov = Provenance("scheme", {"name": scheme.name, "mode": mode,
                                  "policy": str(policy), "junk": junk_word.text})
-    return Sequence.from_chunks(scheme.alphabet, chunks(), bound=bound, provenance=prov)
+    desc = scheme.substitutive if mode == "AP" and policy == "lex" else None
+    return Sequence.from_chunks(scheme.alphabet, chunks(), bound=bound, provenance=prov,
+                                substitutive=desc)
 
 
 # -- hole-filling words ------------------------------------------------------
@@ -1077,6 +1098,14 @@ def progression_rewrite(base: Sequence, levels) -> Sequence:
     phase-aligned with the chain: period length dividing n_0 and preperiod
     at most n_0.  For general bases the junction factors between copies
     and base content recur on a slower schedule and no bound is asserted.
+
+    A bounded rewrite is periodic with period n_1: x = (base[:n_1])^omega,
+    by induction on the index i.  No index below n_1 is pinned.  An
+    unpinned i >= n_1 has i mod n_1 >= n_0 >= preperiod, and the period
+    divides n_1, so base[i] = base[i mod n_1].  An index pinned at level j
+    reads x[i mod n_(j+1)], a smaller index with the same residue mod n_1.
+    So the rewrite carries sigma(a) = aa, psi(a) = base[:n_1], read from
+    the base when n_1 is within its horizon cap (past it, the read raises).
     """
     @lru_cache(maxsize=None)
     def lv(k: int) -> int:
@@ -1109,7 +1138,7 @@ def progression_rewrite(base: Sequence, levels) -> Sequence:
         src = resolve(idx)
         return base.prefix_array(int(src.max()) + 1)[src]  # past the base's cap it raises
 
-    bound = None
+    bound = desc = None
     fam = base.provenance.family
     if fam in ("periodic", "eventually_periodic"):
         plen = base.provenance.params.get("period_len", 0)
@@ -1117,11 +1146,13 @@ def progression_rewrite(base: Sequence, levels) -> Sequence:
         if plen >= 1 and lv(0) % plen == 0 and prelen <= lv(0):
             bound = _level_bound(lv, lambda k, n: 2 * lv(k + 1),
                                  "progression rewrite window (phase-aligned base)")
+            if lv(1) <= base.horizon_cap:
+                desc = Substitutive(((0, 0),), 0, (tuple(base.prefix_array(lv(1)).tolist()),))
 
     prov = Provenance("progression_rewrite",
                       {"base": str(base.provenance), "n0": lv(0), "n1": lv(1)})
     return Sequence.from_index_fn(base.alphabet, fn, bound=bound, provenance=prov,
-                                  horizon_cap=base.horizon_cap)
+                                  horizon_cap=base.horizon_cap, substitutive=desc)
 
 
 # -- triangular-sum witness ---------------------------------------------------

@@ -219,6 +219,22 @@ def test_horizon_cap_reaches_the_progression_rewrite_base(monkeypatch):
     assert x[14348906] == "0"
 
 
+def test_progression_rewrite_capped_below_n1_is_built_and_refused_as_before(
+        monkeypatch, tracker_file):
+    # n1 = 12 is past the cap, so no description is read from the base
+    spec = "progression_rewrite base_pre=1 base_period=10 n0=4 ratio=3"
+    assert build_sequence(SequenceSpec.parse(spec)).substitutive is not None
+    monkeypatch.setenv("APSEQ_HORIZON_CAP", "10")
+    assert build_sequence(SequenceSpec.parse(spec)).substitutive is None
+    assert run(["gen", "--n", "10", "--spec", spec]) == (0, "1101010101\n", "")
+    assert run(["gen", "--n", "11", "--spec", spec]) == (
+        3, "", "error: requested 11 symbols of progression_rewrite base=eventually_periodic "
+               "period=10 period_len=2 pre=1 pre_len=1 n0=4 n1=12, cap is 10\n")
+    assert run(["decide", "--automaton", tracker_file, "--spec", spec]) == (
+        6, "", "error: certified window [17496, 34991] exceeds the horizon cap 10; "
+               "raise the cap to decide this pair\n")
+
+
 # -- analyze -----------------------------------------------------------------------
 
 

@@ -236,11 +236,50 @@ def test_block_product_seq_validation():
 
 
 @st.composite
+def _phase_aligned_rewrites(draw):
+    """A progression rewrite over a base whose period divides n0 and
+    whose preperiod is at most n0 (n0 <= 12, ratio 2-5)."""
+    letters = "012"[:draw(st.integers(2, 3))]
+    n0 = draw(st.integers(1, 12))
+    p = draw(st.sampled_from([d for d in range(1, n0 + 1) if n0 % d == 0]))
+    period = draw(st.text(letters, min_size=p, max_size=p))
+    pre = draw(st.text(letters, max_size=n0))
+    abc = Alphabet(tuple(sorted(set(pre + period))))
+    base = G.eventually_periodic(abc.word(pre), abc.word(period)) if pre \
+        else G.periodic(abc.word(period))
+    return G.progression_rewrite(base, G.geometric_levels(n0, draw(st.integers(2, 5))))
+
+
+@st.composite
+def _forced_chain_schemes(draw):
+    """A scheme whose lex chain is forced: a stock one, or random uniform
+    injective base words over two or three letters with expansions of
+    length 2-4 that start with their own letter."""
+    stock = draw(st.sampled_from([None, G.pair_alternation_scheme, G.doubling_scheme,
+                                  G.choice_scheme]))
+    if stock is not None:
+        return stock()
+    letters = "012"[:draw(st.integers(2, 3))]
+    l0, k = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    words = draw(st.lists(st.text(letters, min_size=l0, max_size=l0),
+                          min_size=len(letters), max_size=len(letters), unique=True))
+    expand = {a: a + draw(st.text(letters, min_size=k - 1, max_size=k - 1)) for a in letters}
+    return G.substitution_scheme("ap", Alphabet(tuple(letters)), dict(zip(letters, words)),
+                                 expand)
+
+
+@st.composite
 def described_words(draw):
     """A word that its constructor describes as substitutive: a random
-    block stream, thue_morse under each definition, or a periodic or
-    eventually periodic word over two or three letters."""
-    kind = draw(st.sampled_from(["blocks", "thue_morse", "periodic", "eventually_periodic"]))
+    block stream, thue_morse under each definition, a periodic or
+    eventually periodic word over two or three letters, a phase-aligned
+    progression rewrite, or the lex chain of a forced-chain scheme."""
+    kind = draw(st.sampled_from(["blocks", "thue_morse", "periodic", "eventually_periodic",
+                                 "progression_rewrite", "scheme"]))
+    if kind == "progression_rewrite":
+        return draw(_phase_aligned_rewrites())
+    if kind == "scheme":
+        return G.scheme_generate(draw(_forced_chain_schemes()))
     if kind == "blocks":
         heads = draw(st.lists(st.text("01", min_size=1, max_size=4), max_size=3))
         tail = "0" + draw(st.text("01", min_size=1, max_size=3))
@@ -265,6 +304,21 @@ def test_description_expands_to_the_generated_word(x):
         y = G._expand(sigma, y)
     got = G._expand(G._image_table(list(d.psi), x.alphabet), y[:n])[:n]
     assert np.array_equal(got, x.prefix_array(n))
+
+
+def test_words_without_a_forced_description():
+    pairs = G.pair_alternation_scheme()
+    assert G.scheme_generate(G.aperiodic_scheme()).substitutive is None  # 1 -> 0100
+    assert G.scheme_generate(pairs, policy="random", seed=1).substitutive is None
+    assert G.scheme_generate(pairs, policy=lambda n, cands: cands[0]).substitutive is None
+    assert G.scheme_generate(pairs, mode="GAP", junk="0").substitutive is None
+    for base, n0 in ((G.periodic("01"), 3), (G.eventually_periodic("110", "0"), 2)):
+        assert G.progression_rewrite(base, G.geometric_levels(n0, 2)).substitutive is None
+    # a non-uniform base, a repeated base word, an expansion of length 1
+    for base, expand in (({"0": "0", "1": "10"}, {"0": "01", "1": "10"}),
+                         ({"0": "0", "1": "0"}, {"0": "01", "1": "10"}),
+                         ({"0": "0", "1": "1"}, {"0": "0", "1": "1"})):
+        assert G.substitution_scheme("ap", B, base, expand).substitutive is None
 
 
 def test_alternating_prefix_imbalance():

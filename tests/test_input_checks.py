@@ -13,8 +13,8 @@ from apseq import generators as G
 from apseq import omega as O
 from apseq import transforms as T
 from apseq.cli import SequenceSpec, build_sequence, parse_dfao_file, parse_scheme_file
-from apseq.core import (Alphabet, Bound, Word, agreement_length, factors, occurrences,
-                        shift)
+from apseq.core import (Alphabet, Bound, Substitutive, Word, agreement_length, factors,
+                        occurrences, shift)
 from apseq.errors import MachineParseError, SpecError
 
 B = Alphabet.binary()
@@ -67,6 +67,11 @@ CHECKS = [
     (lambda: agreement_length(G.thue_morse(), G.periodic("ab"), 10), SpecError,
      "agreement_length requires a common alphabet"),
     (lambda: shift(G.thue_morse(), -1), SpecError, "shift offset must be >= 0"),
+    (lambda: Substitutive(((0, 5),), 0, ((1,),)), SpecError, "sigma names a letter outside 0..0"),
+    (lambda: Substitutive(((0, 1), (1, 0)), 0, ((1,),)), SpecError,
+     "psi has 1 images for the 2 letters of sigma"),
+    (lambda: Substitutive(((0, 1), (1, 0)), 2, ((0,), (1,))), SpecError,
+     "a substitutive description needs sigma(seed) = seed u, u nonempty, and a nonerasing psi"),
     # generators
     (lambda: Alphabet(()), SpecError, "alphabet must contain at least one symbol"),
     (lambda: G.periodic(""), SpecError, "period must be nonempty"),

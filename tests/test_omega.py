@@ -8,6 +8,7 @@ import oracles
 from test_generators import described_words
 from apseq import generators as G
 from apseq import omega as O
+from apseq.cli import SequenceSpec, build_sequence
 from apseq.core import Alphabet, Bound, Segment
 from apseq.errors import (CostRefusal, MachineParseError, NoCertifiedBound,
                           SpecError, UnsupportedFeature)
@@ -158,6 +159,17 @@ def test_thue_morse_m3_is_decided_without_reading_the_word():
     assert len(x._store) == 0
     with pytest.raises(CostRefusal):
         O.decide_muller(O.cycle_counter_automaton(B, 4), x)
+
+
+@pytest.mark.parametrize("spec", ["progression_rewrite base_period=01 n0=2 ratio=3",
+                                  "scheme file={dir}/pairs"])
+def test_bounded_workload_words_are_decided_without_reading_them(spec, tmp_path):
+    (tmp_path / "pairs").write_text("kind: gap\nbase: 0 = 01\nbase: 1 = 10\n"
+                                    "expand: 0 = 010\nexpand: 1 = 101\npairs: 01 10\n")
+    x = build_sequence(SequenceSpec.parse(spec.format(dir=tmp_path)))
+    v = O.decide_muller(O.cycle_counter_automaton(B, 3), x)
+    assert v.window == Segment(708588, 1417175) and len(v.limit_macrostate) == 3
+    assert len(x._store) == 0
 
 
 def test_decide_muller(tm, p01):
