@@ -588,8 +588,9 @@ def test_tracer_spans_the_fills_of_a_bound_copy():
 # -- conformance golden ----------------------------------------------------------
 
 # Every family's valid specs and each single fault (unknown family, each
-# missing key, an extra key, a bad value), run through gen, spec and analyze
-# under four horizon caps.  {dir} stands for the folder of the input files.
+# missing key, an extra key, a bad value), run through gen, spec, analyze and
+# decide under four horizon caps.  {dir} stands for the folder of the input
+# files.
 GOLDEN_SPECS = [
     "martian", "periodic period", "periodic period=0 period=1",
     "periodic period=01", "periodic period=0", "periodic", "periodic period=",
@@ -631,7 +632,8 @@ FAMILY_SPECS = [  # one valid spec per family
     "alternating_morphic rules=1:2,2:22|1:1,2:11 seed=2",
     "progression_rewrite base_period=01 n0=4 ratio=4", "aperiodicity_witness k=5"]
 GOLDEN_EXTRA = [s + " extra=1" for s in FAMILY_SPECS]
-GOLDEN_COMMANDS = [["gen", "--n", "40"], ["spec"], ["analyze", "--metric", "complexity"]]
+GOLDEN_COMMANDS = [["gen", "--n", "40"], ["spec"], ["analyze", "--metric", "complexity"],
+                   ["decide", "--automaton", "{dir}/tracker"]]
 GOLDEN_CAPS = [None, "5000", str(2 * 10**7), "x"]
 GOLDEN_FILE = ROOT / "tests" / "golden" / "cli" / "specs.json"
 
@@ -639,7 +641,8 @@ GOLDEN_FILE = ROOT / "tests" / "golden" / "cli" / "specs.json"
 def cli_matrix(folder) -> dict:
     """"cap | argv" -> [exit code, stdout, stderr], with the input files
     written to folder and its path printed as {dir}."""
-    for name, text in (("digits", DIGITS), ("pairs", PAIRS), ("choice", CHOICE)):
+    for name, text in (("digits", DIGITS), ("pairs", PAIRS), ("choice", CHOICE),
+                       ("tracker", TRACKER)):
         (Path(folder) / name).write_text(text)
     saved, got = os.environ.pop("APSEQ_HORIZON_CAP", None), {}
     try:
@@ -648,7 +651,7 @@ def cli_matrix(folder) -> dict:
                 os.environ["APSEQ_HORIZON_CAP"] = cap
             for spec in GOLDEN_SPECS + GOLDEN_EXTRA:
                 for command in GOLDEN_COMMANDS:
-                    argv = command + ["--spec", spec.format(dir=folder)]
+                    argv = [a.format(dir=folder) for a in command + ["--spec", spec]]
                     result = run(argv)
                     got[f"{cap} | {' '.join(command)} --spec {spec}"] = [
                         result[0], *(t.replace(str(folder), "{dir}") for t in result[1:])]
