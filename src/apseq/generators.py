@@ -1104,8 +1104,8 @@ def progression_rewrite(base: Sequence, levels) -> Sequence:
     unpinned i >= n_1 has i mod n_1 >= n_0 >= preperiod, and the period
     divides n_1, so base[i] = base[i mod n_1].  An index pinned at level j
     reads x[i mod n_(j+1)], a smaller index with the same residue mod n_1.
-    So the rewrite carries sigma(a) = aa, psi(a) = base[:n_1], read from
-    the base when n_1 is within its horizon cap (past it, the read raises).
+    So it carries sigma(a) = aa, psi(a) = base[:n_1], read only when the
+    least window of any decision, 2 g(g(1)) > n_1 for one state, fits the cap.
     """
     @lru_cache(maxsize=None)
     def lv(k: int) -> int:
@@ -1146,7 +1146,7 @@ def progression_rewrite(base: Sequence, levels) -> Sequence:
         if plen >= 1 and lv(0) % plen == 0 and prelen <= lv(0):
             bound = _level_bound(lv, lambda k, n: 2 * lv(k + 1),
                                  "progression rewrite window (phase-aligned base)")
-            if lv(1) <= base.horizon_cap:
+            if 2 * bound(bound(1)) <= base.horizon_cap:
                 desc = Substitutive(((0, 0),), 0, (tuple(base.prefix_array(lv(1)).tolist()),))
 
     prov = Provenance("progression_rewrite",

@@ -8,11 +8,12 @@ through the uniform-image window formula to get g, and read the states
 occurring in the segment [g(1), 2 g(1) - 1] of the state stream — by the
 bound, those are precisely the states that never stop occurring.
 
-That set comes from one of two paths.  A word that carries a substitutive
+One walk computes that set.  A word that carries a substitutive
 description x = psi(sigma^omega(a)) is never read: the states of the
 segment follow from per-letter state summaries of the blocks
-psi(sigma^k(c)), composed along sigma.  Any other word is generated up to
-2 g(1) and its symbols are scanned.
+psi(sigma^k(c)), composed along sigma, and only the images psi(c) at the
+segment's ends, or where a transition is missing, are run symbol by
+symbol.  Any other word is generated up to 2 g(1) and run the same way.
 
 Sequences without a certified bound are refused: acceptance for a
 deterministic automaton is decidable exactly on the sequences whose
@@ -158,69 +159,56 @@ def _certified_limit_set(automaton, x: Sequence):
             f"certified window [{w}, {2*w - 1}] exceeds the horizon cap "
             f"{x.horizon_cap}; raise the cap to decide this pair",
             needed=2 * w, cap=x.horizon_cap)
-    if x.substitutive is None:
-        limit = _window_states(automaton.initial, delta, x.alphabet, x.prefix_array(2 * w), w)
-    else:
-        limit = _described_window_states(automaton.initial, delta, x, w)
-    return limit, Segment(w, 2 * w - 1), g.provenance
+    return _window_states(automaton.initial, delta, x, w), Segment(w, 2 * w - 1), g.provenance
 
 
-def _state_table(initial, delta: dict, alphabet: Alphabet):
-    """(states, table): delta as a table for :func:`run_states`, with a
-    row per state, the initial one first, and a last row for the sink
-    state that stands for a missing transition."""
-    k = len(alphabet)
+def _window_states(initial, delta: dict, x: Sequence, w: int) -> frozenset:
+    """The states q_i, w <= i < 2w, of the run q_0 = initial,
+    q_{i+1} = delta(q_i, x(i)).
+
+    One leaf runs codes: a chunk at a time through the state table, with no
+    visit replay before w; a chunk that meets the sink (a missing
+    transition) is run again to name the first one.  A word without a
+    description is one leaf over its first 2w codes.  A word
+    x = psi(sigma^omega(seed)) is never read: each block psi(sigma^k(c)) has
+    a summary, its exit state and the states it visits, from every entry
+    state.  Level 0 runs psi(c); level k+1 composes level k along sigma(c).
+    The walk descends from the first level whose seed block covers [0, 2w):
+    a block before w only moves the state, a block inside [w, 2w) adds its
+    visits, and a block that cuts w or 2w, or whose summary exits in the
+    sink, is split, down to the leaf on psi(c).
+    """
+    alphabet, k = x.alphabet, len(x.alphabet)
     states = list(dict.fromkeys([initial, *(q for q, _a in delta), *delta.values()]))
-    index = {q: i * k for i, q in enumerate(states)}
-    table = np.full((len(states) + 1, k), len(states) * k, dtype=np.intp)
+    rows = {q: i for i, q in enumerate(states)}
+    n = len(states) + 1                         # rows; the sink is the last
+    table = np.full((n, k), (n - 1) * k, dtype=np.intp)
     for (q, a), q2 in delta.items():
         if a in alphabet:
-            table[index[q] // k, alphabet.index(a)] = index[q2]
-    return states, table
+            table[rows[q], alphabet.index(a)] = rows[q2] * k
+    seen = np.zeros(n, dtype=bool)
 
+    def leaf(codes, p, s):
+        """The row at min(p + len(codes), 2w) of the run over the codes
+        that start at p in row s."""
+        codes = codes[:2 * w - p]
+        for lo in range(0, len(codes), _SCAN_CHUNK):
+            part = codes[lo:lo + _SCAN_CHUNK]
+            block = min(_SCAN_BLOCK, len(part))  # a short part is not padded to a block
+            before, q = run_states(table, s * k, part, block, visits=p + lo + len(part) > w)
+            if q == (n - 1) * k:
+                before = run_states(table, s * k, part, block)[0]
+                i = np.flatnonzero(table.ravel()[before + part] == q)[0]
+                raise _no_transition((states[before[i] // k], alphabet.symbols[part[i]]))
+            if before is not None:
+                seen[before[max(w - p - lo, 0):] // k] = True
+            s = q // k
+        return s
 
-def _window_states(initial, delta: dict, alphabet: Alphabet, xs: np.ndarray, w: int) -> frozenset:
-    """The states q_i, w <= i < 2w, of the run q_0 = initial,
-    q_{i+1} = delta(q_i, xs[i]).
-
-    The symbols go through the state table a chunk at a time; a chunk
-    before the window needs only its exit state, and a chunk that reaches
-    the sink is run again for the first missing transition.
-    """
-    states, table = _state_table(initial, delta, alphabet)
-    syms, k = alphabet.symbols, len(alphabet)
-    sink = len(states) * k
-    seen = np.zeros(sink, dtype=bool)
-    q = 0
-    for lo in range(0, 2 * w, _SCAN_CHUNK):
-        part = xs[lo:min(lo + _SCAN_CHUNK, 2 * w)]
-        entry = q
-        before, q = run_states(table, entry, part, _SCAN_BLOCK, visits=lo + len(part) > w)
-        if q == sink:
-            before = run_states(table, entry, part, _SCAN_BLOCK)[0]
-            i = np.flatnonzero(table.ravel()[before + part] == sink)[0]
-            raise _no_transition((states[before[i] // k], syms[part[i]]))
-        if before is not None:
-            seen[before[max(w - lo, 0):]] = True
-    return frozenset(states[i // k] for i in np.flatnonzero(seen))
-
-
-def _described_window_states(initial, delta: dict, x: Sequence, w: int) -> frozenset:
-    """What :func:`_window_states` finds in x's first 2w codes, computed
-    from x = psi(sigma^omega(seed)) without reading x.
-
-    Each block psi(sigma^k(c)) has a summary: its exit state and the set
-    of states it visits, from every entry state.  Level 0 runs psi(c)
-    through the state table; level k+1 composes level k along sigma(c).
-    The walk descends from the first level whose seed block covers
-    [0, 2w): a block before w only moves the state, a block inside
-    [w, 2w) adds its visits, and only the blocks that cut w or 2w are
-    split.  A run that reaches the sink goes to the scan, which names the
-    first missing transition.
-    """
     d = x.substitutive
-    states, table = _state_table(initial, delta, x.alphabet)
-    k, n = table.shape[1], len(table)           # rows; the sink is the last
+    if d is None:
+        leaf(x.prefix_array(2 * w), 0, 0)
+        return frozenset(states[i] for i in np.flatnonzero(seen))
     psi = [np.array(img, dtype=np.intp) for img in d.psi]
     exits, visits = np.empty((len(psi), n), dtype=np.intp), np.zeros((len(psi), n, n), dtype=bool)
     for c, img in enumerate(psi):
@@ -239,22 +227,18 @@ def _described_window_states(initial, delta: dict, x: Sequence, w: int) -> froze
             exits[c] = e
         levels.append((exits, visits))
         lens.append([sum(lens[-1][b] for b in image) for image in d.sigma])
-    seen = np.zeros(n, dtype=bool)
 
     def walk(level, c, p, s):
-        """The state at min(end, 2w) of the block (level, c) that starts
-        at p < 2w in state s."""
+        """The row at min(end, 2w) of the block (level, c) that starts at
+        p < 2w in row s."""
         end = p + lens[level][c]
         exits, visits = levels[level]
-        if end <= w:
-            return exits[c, s]
-        if w <= p and end <= 2 * w:
-            seen[visits[c, s]] = True
+        if exits[c, s] != n - 1 and (end <= w or w <= p and end <= 2 * w):
+            if end > w:
+                seen[visits[c, s]] = True
             return exits[c, s]
         if level == 0:
-            before, q = run_states(table, s * k, psi[c][:2 * w - p])
-            seen[before[max(w - p, 0):] // k] = True
-            return q // k
+            return leaf(psi[c], p, s)
         for b in d.sigma[c]:
             if p >= 2 * w:
                 break
@@ -262,8 +246,7 @@ def _described_window_states(initial, delta: dict, x: Sequence, w: int) -> froze
             p += lens[level - 1][b]
         return s
 
-    if walk(len(levels) - 1, d.seed, 0, 0) == n - 1:
-        return _window_states(initial, delta, x.alphabet, x.prefix_array(2 * w), w)
+    walk(len(levels) - 1, d.seed, 0, 0)
     return frozenset(states[i] for i in np.flatnonzero(seen))
 
 

@@ -221,7 +221,8 @@ def test_horizon_cap_reaches_the_progression_rewrite_base(monkeypatch):
 
 def test_progression_rewrite_capped_below_n1_is_built_and_refused_as_before(
         monkeypatch, tracker_file):
-    # n1 = 12 is past the cap, so no description is read from the base
+    # the one-state window 2 g(g(1)) = 432 is past the cap, so no description
+    # is read from the base
     spec = "progression_rewrite base_pre=1 base_period=10 n0=4 ratio=3"
     assert build_sequence(SequenceSpec.parse(spec)).substitutive is not None
     monkeypatch.setenv("APSEQ_HORIZON_CAP", "10")

@@ -88,7 +88,10 @@ def _decisions(draw):
 
 # scan geometries (chunk, block): the default, and two small ones under
 # which a window spans many chunks and its last block is cut short
-@pytest.mark.parametrize("chunk, block", [(O._SCAN_CHUNK, O._SCAN_BLOCK), (256, 16), (112, 7)])
+GEOMETRIES = [(O._SCAN_CHUNK, O._SCAN_BLOCK), (256, 16), (112, 7)]
+
+
+@pytest.mark.parametrize("chunk, block", GEOMETRIES)
 @settings(max_examples=60, deadline=None)
 @given(case=_decisions())
 def test_decision_equals_the_per_symbol_run(chunk, block, case):
@@ -140,16 +143,21 @@ def _outcome(call):
         return str(e)
 
 
+# described words whose images psi(c) span several chunks of the small geometries
+_long_images = st.builds(G.eventually_periodic, st.text("012", min_size=1, max_size=300),
+                         st.text("012", min_size=200, max_size=600))
+
+
+@pytest.mark.parametrize("chunk, block", GEOMETRIES)
 @settings(max_examples=150, deadline=None)
-@given(qd=_deltas(), x=described_words(), w=st.integers(1, 12) | st.integers(1, 5000))
-def test_described_window_states_equal_the_scan(qd, x, w):
+@given(qd=_deltas(), x=described_words() | _long_images, w=st.integers(1, 12) | st.integers(1, 5000))
+def test_described_window_states_equal_the_scan(chunk, block, qd, x, w):
     qs, delta = qd
-    got = _outcome(lambda: O._described_window_states(qs[0], delta, x, w))
-    read = len(x._store)
-    assert got == _outcome(lambda: O._window_states(qs[0], delta, x.alphabet,
-                                                    x.prefix_array(2 * w), w))
-    if not isinstance(got, str):  # only a run that meets the sink reads x
-        assert read == 0
+    with mock.patch.multiple(O, _SCAN_CHUNK=chunk, _SCAN_BLOCK=block):
+        got = _outcome(lambda: O._window_states(qs[0], delta, x, w))
+        assert len(x._store) == 0  # a missing transition is named without reading x
+        x.substitutive = None
+        assert got == _outcome(lambda: O._window_states(qs[0], delta, x, w))
 
 
 def test_thue_morse_m3_is_decided_without_reading_the_word():
@@ -170,6 +178,16 @@ def test_bounded_workload_words_are_decided_without_reading_them(spec, tmp_path)
     v = O.decide_muller(O.cycle_counter_automaton(B, 3), x)
     assert v.window == Segment(708588, 1417175) and len(v.limit_macrostate) == 3
     assert len(x._store) == 0
+
+
+def test_a_rewrite_past_every_window_carries_no_description():
+    # psi = base[:n1] is read only when the one-state window fits the cap
+    base = G.periodic("01")
+    x = G.progression_rewrite(base, G.geometric_levels(1000, 1000))
+    assert x.substitutive is None and len(base._store) == 0
+    with pytest.raises(CostRefusal, match=r"^certified window \[2000000000000000000000000, "
+                       r"3999999999999999999999999\] exceeds the horizon cap 10000000; "):
+        O.decide_muller(O.both_letters_tracker(), x)
 
 
 def test_decide_muller(tm, p01):
