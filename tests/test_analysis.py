@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -199,6 +200,65 @@ def test_large_n_path_runs_only_past_the_code_width(monkeypatch, kolak, x5):
     assert len(calls) == 2
 
 
+def _widest(k, bound):
+    """The widest window whose base-k code stays within bound."""
+    return max(w for w in range(1, 64) if k**w <= bound)
+
+
+@st.composite
+def _window_cases(draw):
+    """Codes over k = 2..5 letters and a window length n at, beside or
+    between the uint32 limit and the 2**62 code width, or past the width;
+    the horizon is often exactly n."""
+    k = draw(st.integers(2, 5))
+    w32, w62 = _widest(k, 2**32), _widest(k, 2**62)
+    n = draw(st.sampled_from([1, w32 - 1, w32, w32 + 1, w62, w62 + 1, 2 * w62 + 3])
+             | st.integers(1, w62 + 8))
+    size = n + draw(st.just(0) | st.integers(1, 60))
+    return k, n, draw(st.lists(st.integers(0, k - 1), min_size=size, max_size=size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_window_cases())
+def test_window_ids_are_base_k_codes_up_to_the_width(case):
+    k, n, codes = case
+    ids = A._window_ids(np.array(codes, dtype=np.uint8), n, k)
+    windows = [tuple(codes[i:i + n]) for i in range(len(codes) - n + 1)]
+    assert ids.dtype == np.int64 and ids.size == len(windows)
+    if n <= _widest(k, 2**62):
+        assert ids.tolist() == [sum(c * k ** (n - 1 - j) for j, c in enumerate(w))
+                                for w in windows]
+    else:   # prefix doubling: ids ordered like the windows, equal when they are
+        place = {w: r for r, w in enumerate(sorted(set(windows)))}
+        assert np.unique(ids, return_inverse=True)[1].tolist() == [place[w] for w in windows]
+
+
+@st.composite
+def _double_cases(draw):
+    """Ids whose largest value lies just below, at or far past twice their
+    number (the presence table ranks the first, np.unique the others), or
+    a single distinct id; uint8 when they fit, as the codes of a prefix."""
+    size = draw(st.integers(2, 200))
+    top = draw(st.sampled_from([2 * size - 1, 2 * size, 2**40]) | st.integers(0, 3 * size))
+    if draw(st.booleans()):
+        ids = [top] * size
+    else:
+        ids = draw(st.lists(st.integers(0, top), min_size=size, max_size=size))
+        ids[draw(st.integers(0, size - 1))] = top
+    dtype = draw(st.sampled_from([np.uint8, np.int64])) if top < 256 else np.int64
+    return np.array(ids, dtype=dtype), draw(st.integers(1, size - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_double_cases())
+def test_double_ranks_like_unique(case):
+    ids, step = case
+    uniq, inverse = np.unique(ids, return_inverse=True)
+    rank, joined = A._double(ids, step)
+    assert rank.dtype == inverse.dtype and rank.tolist() == inverse.tolist()
+    assert joined.tolist() == (inverse[:-step] * uniq.size + inverse[step:]).tolist()
+
+
 def test_prefix_regulator(tm, fib, p01):
     assert A.prefix_regulator(p01, 2, 1000) == 3
     const = G.constant("0")
@@ -333,6 +393,40 @@ def test_powers_across_many_blocks(monkeypatch, tm, fib, kolak):
             expected = oracles.powers(codes, kind)
             for limit in (None, 1, 17, 100, len(expected), len(expected) + 1):
                 assert A.detect_powers(x, 200, kind, limit=limit) == expected[:limit]
+
+
+def _planted_runs(k, p, length, h, rng):
+    """A random word over k letters of length h with stretches of exactly
+    length positions j where x[j] = x[j + p]: one at 0, one inside, one
+    ending at h - p."""
+    codes = [rng.randrange(k) for _ in range(h)]
+    for a in (0, h // 2 + rng.randrange(p), h - p - length):
+        for j in range(a, a + length):
+            codes[j + p] = codes[j]
+        if a + length + p < h:
+            codes[a + length + p] = (codes[a + length] + 1) % k
+        if a > 0:
+            codes[a - 1] = (codes[a - 1 + p] + 1) % k
+    return codes
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_power_level_filter_edges_match_the_oracle(monkeypatch, kind):
+    # one period to a block, so that the filter reads the widest level 2**j
+    # with 2**(j + 1) <= need; runs one short of need, of need and one
+    # longer, for periods whose need is at or beside a power of two, where
+    # the kept sample may lie less than 2**j from either end of its run
+    monkeypatch.setattr(A, "_POWER_BLOCK", 1)
+    rng = random.Random(kind)
+    for j in (2, 3, 4, 5, 6):
+        for p in (2**j - 1, 2**j, 2**j + 1):
+            need = {"square": p, "cube": 2 * p, "overlap": p + 1}[kind]
+            for length in (need - 1, need, need + 1):
+                h = rng.randrange(1000, 2001)
+                codes = _planted_runs(3, p, length, h, rng)
+                x = G.periodic(Word(Alphabet.of(0, 1, 2), tuple(codes)))
+                assert A.detect_powers(x, h, kind, max_period=p) == \
+                    oracles.powers(codes, kind, p)
 
 
 def test_powers_limit_reached_in_a_later_block():
