@@ -361,6 +361,8 @@ def is_balanced(x: Sequence, n_max: int, horizon: int) -> BalanceReport:
     length up to n_max (binary alphabets only)."""
     if len(x.alphabet) != 2:
         raise SpecError("balance is defined for binary alphabets")
+    if horizon < n_max:
+        raise SpecError("horizon must be at least n_max")
     arr = x.prefix_array(horizon)
     ones = np.concatenate(([0], np.cumsum(arr == 1)))
     for n in range(1, n_max + 1):
@@ -516,6 +518,8 @@ def am_estimate(x: Sequence, shift_max: int, horizon: int) -> AmReport:
     the per-shift table is reported so convergence can be inspected."""
     if shift_max < 1:
         raise SpecError("need at least one shift")
+    if horizon < 1:
+        raise SpecError("horizon must be at least 1")
     arr = x.prefix_array(horizon + shift_max)
     base = arr[:horizon]
     per = {}
@@ -631,6 +635,8 @@ def tiling_periods(u: Word) -> list:
     m = len(u)
     if m > 32:
         raise SpecError("exhaustive tiling search is capped at length 32")
+    if m == 0:
+        raise SpecError("the empty word has no tiling periods")
     results = []
 
     def search(offsets, shifts, remaining):

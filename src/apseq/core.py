@@ -198,28 +198,33 @@ class Bound:
 
 @dataclass(frozen=True)
 class Substitutive:
-    """The description x = psi(sigma^omega(seed)) of a substitutive word.
+    """The description x = prefix psi(sigma_0 ... sigma_{j-1} sigma^omega(seed)).
 
     ``sigma`` maps the letters 0..r-1 to tuples of those letters, with
     sigma(seed) = seed u and u nonempty, so that sigma^k(seed) is a
-    prefix of sigma^(k+1)(seed); ``psi`` maps the same r letters to
-    nonempty tuples of codes of the sequence's alphabet.
+    prefix of sigma^(k+1)(seed); each ``head`` morphism sigma_i maps them to
+    nonempty tuples, seed to seed v; ``psi`` maps them to nonempty tuples
+    of codes of the sequence's alphabet, and ``prefix`` is a tuple of codes.
     """
 
     sigma: tuple
     seed: int
     psi: tuple
+    head: tuple = ()
+    prefix: tuple = ()
 
     def __post_init__(self):
         r = len(self.sigma)
         if len(self.psi) != r:
             raise SpecError(f"psi has {len(self.psi)} images for the {r} letters of sigma")
-        if any(not 0 <= b < r for image in self.sigma for b in image):
+        if any(not 0 <= b < r for m in (self.sigma, *self.head) for image in m for b in image):
             raise SpecError(f"sigma names a letter outside 0..{r - 1}")
-        head = self.sigma[self.seed] if 0 <= self.seed < r else ()
-        if len(head) < 2 or head[0] != self.seed or not all(self.psi):
+        first = self.sigma[self.seed] if 0 <= self.seed < r else ()
+        if len(first) < 2 or first[0] != self.seed or not all(self.psi):
             raise SpecError("a substitutive description needs sigma(seed) = seed u, "
                             "u nonempty, and a nonerasing psi")
+        if not all(len(h) == r and all(h) and h[self.seed][0] == self.seed for h in self.head):
+            raise SpecError(f"head morphisms need {r} nonempty images, the seed's starting with it")
 
 
 @dataclass(frozen=True)
@@ -417,11 +422,15 @@ class Sequence:
         """The first n symbol codes as a read-only view of the store, in
         ``alphabet.dtype`` (no copy; it stays valid while the store grows).
         Widen the codes before arithmetic that can pass the dtype's range."""
+        if n < 0:  # a negative end would slice the store's unfilled capacity
+            raise SpecError("prefix length must be >= 0")
         return self._view(0, n)
 
     def chunks(self, start: int = 0) -> Iterator[np.ndarray]:
         """The codes from ``start`` on, as read-only views of at most _CHUNK
         codes; each view asks the stream only for its next code."""
+        if start < 0:
+            raise SpecError("chunk start must be >= 0")
         i = start
         while True:
             self._fill(i + 1)
@@ -432,9 +441,7 @@ class Sequence:
     # -- word views ---------------------------------------------------
 
     def prefix(self, n: int) -> Word:
-        if n < 0:
-            raise SpecError("prefix length must be >= 0")
-        return Word(self.alphabet, tuple(self._view(0, n).tolist()))
+        return Word(self.alphabet, tuple(self.prefix_array(n).tolist()))
 
     def segment(self, seg: Segment) -> Word:
         return Word(self.alphabet, tuple(self._view(seg.i, seg.j + 1).tolist()))

@@ -62,21 +62,17 @@ def _level_bound(length, window, provenance: str) -> Bound:
 
 
 def periodic(period) -> Sequence:
-    """The purely periodic sequence with the given period word.
+    """The purely periodic sequence with the given period word: the
+    eventually periodic word with an empty preperiod.
 
     Certified bound: n + |period| - 1; a window of that length covers a
     full residue cycle, so it contains every length-n factor.
-    Description: sigma(a) = aa, psi(a) = period.
     """
-    if not period:  # before an alphabet is inferred from it
-        raise SpecError("period must be nonempty")
-    w = word_from_text(period)
-    p = len(w)
-    codes = _code_array(w.codes, w.alphabet)
-    bound = Bound(lambda n: n + p - 1, f"periodic window, period {p}")
-    prov = Provenance("periodic", {"period": w.text, "period_len": p})
-    return Sequence.from_index_fn(w.alphabet, lambda i: codes[i % p], bound=bound, provenance=prov,
-                                  substitutive=Substitutive(((0, 0),), 0, (w.codes,)))
+    x = eventually_periodic(period[:0], period)
+    text, p = x.provenance.params["period"], x.provenance.params["period_len"]
+    x.provenance = Provenance("periodic", {"period": text, "period_len": p})
+    x.certified_bound = Bound(x.certified_bound.fn, f"periodic window, period {p}")
+    return x
 
 
 def eventually_periodic(pre, period) -> Sequence:
@@ -86,8 +82,7 @@ def eventually_periodic(pre, period) -> Sequence:
     max(|pre| + n, n + |period| - 1) is not sound: a window that straddles
     the preperiod boundary needs the full preperiod plus one residue cycle
     before it is guaranteed to contain every recurring factor.
-    Description, for a nonempty preperiod: sigma(a) = ab, sigma(b) = bb,
-    psi(a) = pre, psi(b) = period.
+    Description: prefix = pre, sigma(a) = aa, psi(a) = period.
     """
     if not period:  # before an alphabet is inferred from it
         raise SpecError("period must be nonempty")
@@ -102,9 +97,10 @@ def eventually_periodic(pre, period) -> Sequence:
     bound = Bound(lambda n: k + n + p - 1, f"eventually periodic window, pre {k}, period {p}")
     prov = Provenance("eventually_periodic",
                       {"pre": u.text, "period": w.text, "pre_len": k, "period_len": p})
-    fn = lambda i: codes[np.where(i < k, i, k + (i - k) % p)]
-    desc = Substitutive(((0, 1), (1, 1)), 0, (u.codes, w.codes)) if k else None
-    return Sequence.from_index_fn(u.alphabet, fn, bound=bound, provenance=prov, substitutive=desc)
+    # no np.where without a preperiod: it takes half again the time of a periodic read
+    fn = lambda i: codes[np.where(i < k, i, k + (i - k) % p) if k else i % p]
+    return Sequence.from_index_fn(u.alphabet, fn, bound=bound, provenance=prov,
+                                  substitutive=Substitutive(((0, 0),), 0, (w.codes,), prefix=u.codes))
 
 
 def constant(symbol: str) -> Sequence:
@@ -518,20 +514,6 @@ def automatic(dfao: DFAO) -> Sequence:
 # -- block products ---------------------------------------------------------
 
 
-def block_product_word(u: Word, v: Word) -> Word:
-    """Recursive product: empty for empty v, else the product over v less
-    its last letter, followed by u (letter 0) or the complement of u
-    (letter 1)."""
-    if len(u.alphabet) != 2 or len(v.alphabet) != 2:
-        raise SpecError("block products are defined over the binary alphabet")
-    out = []
-    uc = u.codes
-    ubar = tuple(1 - c for c in uc)
-    for bit in v.codes:
-        out.extend(uc if bit == 0 else ubar)
-    return Word(u.alphabet, tuple(out))
-
-
 def block_product_seq(blocks, *, assert_both_letters: bool = False) -> Sequence:
     """Limit of the iterated block product of a list of binary words whose
     last entry repeats forever (01 alone gives the doubling word).
@@ -540,8 +522,8 @@ def block_product_seq(blocks, *, assert_both_letters: bool = False) -> Sequence:
     block past the first, and the first when it is the repeated one, must
     start with 0.  A repeated last block of length 1 adds nothing, so the
     stream ends after the product of the earlier blocks.  A longer one, T,
-    gives the description sigma = mu_T, psi = mu_{b_0} ... mu_{b_{k-1}} of
-    the blocks before it, with mu_b(0) = b and mu_b(1) its complement.
+    gives psi = mu_{b_0} (the identity if T is b_0), head = mu_{b_1} ...
+    mu_{b_{k-1}} and sigma = mu_T, with mu_b(0) = b, mu_b(1) its complement.
     With ``assert_both_letters`` the caller asserts that every block past
     the first contains both letters; under that assertion the sequence
     carries the certified bound 4 * l_{m+1} + 2 * l_m + n with l_m the
@@ -578,13 +560,10 @@ def block_product_seq(blocks, *, assert_both_letters: bool = False) -> Sequence:
 
     bound = _level_bound(level_len, lambda m, n: 4 * level_len(m + 1) + 2 * level_len(m) + n,
                          "block product window (4*l_{m+1} + 2*l_m + n)") if assert_both_letters else None
-    desc, tail = None, words[-1].codes
-    if len(tail) >= 2:
-        head = np.zeros(1, dtype=np.uint8)
-        for w in words[:-1]:
-            head = (np.array(w.codes, dtype=np.uint8)[:, None] ^ head).ravel()
-        desc = Substitutive((tail, tuple(1 - c for c in tail)), 0,
-                            (tuple(head.tolist()), tuple((1 - head).tolist())))
+    mu = lambda b: (b.codes, tuple(1 - c for c in b.codes))
+    first, *head = words[:-1] or [BINARY.word("0")]
+    desc = Substitutive(mu(words[-1]), 0, mu(first), head=tuple(map(mu, head))) \
+        if len(words[-1]) >= 2 else None
     return Sequence.from_chunks(BINARY, chunks(), bound=bound,
                                 provenance=Provenance("block_product"), substitutive=desc)
 
@@ -1036,17 +1015,6 @@ class AlternatingMorphismSystem:
     @property
     def alphabet(self) -> Alphabet:
         return self.morphisms[0].source
-
-
-def alternating_apply(system: AlternatingMorphismSystem, w: Word) -> Word:
-    """One rewriting step: letter at position i maps through morphism
-    i mod p."""
-    p = len(system.morphisms)
-    tables = [h.image_codes() for h in system.morphisms]
-    out = []
-    for i, c in enumerate(w.codes):
-        out.extend(tables[i % p][c])
-    return Word(system.alphabet, tuple(out))
 
 
 def alternating_morphic(system: AlternatingMorphismSystem) -> Sequence:

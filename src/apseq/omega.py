@@ -8,12 +8,12 @@ through the uniform-image window formula to get g, and read the states
 occurring in the segment [g(1), 2 g(1) - 1] of the state stream — by the
 bound, those are precisely the states that never stop occurring.
 
-One walk computes that set.  A word that carries a substitutive
-description x = psi(sigma^omega(a)) is never read: the states of the
-segment follow from per-letter state summaries of the blocks
-psi(sigma^k(c)), composed along sigma, and only the images psi(c) at the
-segment's ends, or where a transition is missing, are run symbol by
-symbol.  Any other word is generated up to 2 g(1) and run the same way.
+One walk computes that set.  A word described as x = u psi(sigma_0 ...
+sigma_{j-1} sigma^omega(a)) is never read: after u, the states follow from
+per-letter state summaries of the level blocks, level k+1 composed from
+level k along sigma_k, and only u and the images psi(c) at the segment's
+ends, or where a transition is missing, are run symbol by symbol.  Any
+other word is generated up to 2 g(1) and run the same way, all of it u.
 
 Sequences without a certified bound are refused: acceptance for a
 deterministic automaton is decidable exactly on the sequences whose
@@ -168,13 +168,14 @@ def _window_states(initial, delta: dict, x: Sequence, w: int) -> frozenset:
 
     One leaf runs codes: a chunk at a time through the state table, with no
     visit replay before w; a chunk that meets the sink (a missing
-    transition) is run again to name the first one.  A word without a
-    description is one leaf over its first 2w codes.  A word
-    x = psi(sigma^omega(seed)) is never read: each block psi(sigma^k(c)) has
-    a summary, its exit state and the states it visits, from every entry
-    state.  Level 0 runs psi(c); level k+1 composes level k along sigma(c).
-    The walk descends from the first level whose seed block covers [0, 2w):
-    a block before w only moves the state, a block inside [w, 2w) adds its
+    transition) is run again to name the first one.  It runs the prefix
+    of x = prefix psi(sigma_0 ... sigma_{j-1} sigma^omega(seed)), or the
+    first 2w codes of a word without a description.  Each block of the
+    rest has a summary, its exit state and the states it visits, from every
+    entry state: level 0 runs psi(c), and level k+1 composes level k along
+    sigma_k(c), head[k] while k < j and sigma after.  From the prefix's end
+    the walk descends from the first level whose seed block reaches 2w: a
+    block before w only moves the state, a block inside [w, 2w) adds its
     visits, and a block that cuts w or 2w, or whose summary exits in the
     sink, is split, down to the leaf on psi(c).
     """
@@ -206,9 +207,11 @@ def _window_states(initial, delta: dict, x: Sequence, w: int) -> frozenset:
         return s
 
     d = x.substitutive
-    if d is None:
-        leaf(x.prefix_array(2 * w), 0, 0)
+    prefix = x.prefix_array(2 * w) if d is None else np.array(d.prefix, dtype=np.intp)
+    entry = leaf(prefix, 0, 0)                  # the row in which psi's part starts
+    if d is None or len(prefix) >= 2 * w:
         return frozenset(states[i] for i in np.flatnonzero(seen))
+    sigma_at = lambda j: d.head[j] if j < len(d.head) else d.sigma  # level j+1 from level j
     psi = [np.array(img, dtype=np.intp) for img in d.psi]
     exits, visits = np.empty((len(psi), n), dtype=np.intp), np.zeros((len(psi), n, n), dtype=bool)
     for c, img in enumerate(psi):
@@ -217,16 +220,17 @@ def _window_states(initial, delta: dict, x: Sequence, w: int) -> frozenset:
             exits[c, s] = q // k
             visits[c, s, before // k] = True
     levels, lens = [(exits, visits)], [[len(img) for img in psi]]
-    while lens[-1][d.seed] < 2 * w:
+    while len(prefix) + lens[-1][d.seed] < 2 * w:
+        sigma = sigma_at(len(levels) - 1)
         exits, visits = np.empty_like(exits), np.zeros_like(visits)
-        for c, image in enumerate(d.sigma):
+        for c, image in enumerate(sigma):
             e = np.arange(n)
             for b in image:
                 visits[c] |= levels[-1][1][b, e]
                 e = levels[-1][0][b, e]
             exits[c] = e
         levels.append((exits, visits))
-        lens.append([sum(lens[-1][b] for b in image) for image in d.sigma])
+        lens.append([sum(lens[-1][b] for b in image) for image in sigma])
 
     def walk(level, c, p, s):
         """The row at min(end, 2w) of the block (level, c) that starts at
@@ -239,14 +243,14 @@ def _window_states(initial, delta: dict, x: Sequence, w: int) -> frozenset:
             return exits[c, s]
         if level == 0:
             return leaf(psi[c], p, s)
-        for b in d.sigma[c]:
+        for b in sigma_at(level - 1)[c]:
             if p >= 2 * w:
                 break
             s = walk(level - 1, b, p, s)
             p += lens[level - 1][b]
         return s
 
-    walk(len(levels) - 1, d.seed, 0, 0)
+    walk(len(levels) - 1, d.seed, len(prefix), entry)
     return frozenset(states[i] for i in np.flatnonzero(seen))
 
 

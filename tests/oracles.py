@@ -222,6 +222,18 @@ def alternating_fixed_point(tables, seed, length):
     return w[:length]
 
 
+def alternating_apply(tables, codes):
+    """One rewriting step: the letter at position i is rewritten by
+    tables[i mod p]."""
+    return [c for i, a in enumerate(codes) for c in tables[i % len(tables)][a]]
+
+
+def block_product_word(u, v):
+    """The block product of two binary code lists: u for each 0 of v and
+    the complement of u for each 1."""
+    return [c ^ bit for bit in v for c in u]
+
+
 def kolakoski(length):
     """The first ``length`` terms (values 1 and 2) of the sequence that
     starts 2, 2 and whose j-th run has length x(j), the runs alternating

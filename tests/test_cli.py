@@ -430,7 +430,8 @@ GEN = "gen --n 8 --spec "
 DECIDE = "decide --automaton {f} --spec "
 
 MALFORMED = {
-    # name: (input file text, command line with {f} for its path, exit code)
+    # name: (input file text, command line with {f} for its path and any
+    # --spec last, exit code)
     "scheme-base-without-eq": (PAIRS.replace("base: 0 = 01", "base: 0"),
                                GEN + "scheme file={f}", 2),
     "scheme-letter-without-base": (PAIRS.replace("expand: 0 = 010", "expand: 0 = 012"),
@@ -468,6 +469,15 @@ MALFORMED = {
     "scheme-empty-expansion": (
         "kind: ap\nbase: 0 = 0\nbase: 1 = 1\nexpand: 0 = 01\nexpand: 1 =\n",
         GEN + "scheme file={f}", 2),
+    # lengths that read no codes, or codes before position 0
+    "balance-horizon-below-n-max": ("", "analyze --metric balance --horizon 5 --n-max 8 "
+                                        "--spec thue_morse", 2),
+    "balance-horizon-zero": ("", "analyze --metric balance --horizon 0 --spec thue_morse", 2),
+    "am-horizon-zero": ("", "analyze --metric am --horizon 0 --spec thue_morse", 2),
+    "am-horizon-negative": ("", "analyze --metric am --horizon -5 --spec thue_morse", 2),
+    "tiling-length-zero": ("", "analyze --metric tiling --length 0 --spec thue_morse", 2),
+    "compare-horizon-negative": ("", "compare --horizon -5 --spec-a thue_morse "
+                                     "--spec-b thue_morse", 2),
 }
 
 
@@ -487,7 +497,8 @@ def test_malformed_input_exits_with_error(tmp_path, monkeypatch, text, command, 
     handler = signal.signal(signal.SIGALRM, _hang)
     signal.alarm(20)
     try:
-        got, out, err = run(command.format(f=path).split(" ", 4))
+        words, flag, spec = command.format(f=path).partition(" --spec ")  # a spec may hold spaces
+        got, out, err = run(words.split() + ([flag.strip(), spec] if flag else []))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, handler)

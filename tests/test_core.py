@@ -224,6 +224,15 @@ def test_negative_index_is_refused(tm):
         tm[-3]
 
 
+def test_negative_read_lengths_are_refused_past_the_filled_codes():
+    # the store's capacity past its 12,000 filled codes holds unwritten bytes
+    x = G.thue_morse()
+    x.codes(12000)
+    for read in (lambda: x.prefix(-1), lambda: x.prefix_array(-1)):
+        with pytest.raises(SpecError, match=r"^prefix length must be >= 0$"):
+            read()
+
+
 @pytest.mark.parametrize("make", [G.thue_morse, G.paperfolding,
                                   lambda: G.eventually_periodic("0010", "011")])
 def test_prefix_array_after_growing_reads(make):

@@ -195,23 +195,19 @@ def test_automatic_constant():
 
 
 def test_block_product_word():
-    u, v = B.word("01"), B.word("01")
-    assert G.block_product_word(u, v).text == "0110"
-    assert G.block_product_word(u, Word(B, ())).text == ""
+    assert oracles.block_product_word([0, 1], [0, 1]) == [0, 1, 1, 0]
+    assert oracles.block_product_word([0, 1], []) == []
 
 
 def test_block_product_algebra():
     rng = random.Random(3)
     for _ in range(25):
-        u = Word(B, (0,) + tuple(rng.randrange(2) for _ in range(rng.randrange(7))))
-        v = Word(B, tuple(rng.randrange(2) for _ in range(rng.randrange(8))))
-        w = Word(B, tuple(rng.randrange(2) for _ in range(rng.randrange(8))))
-        lhs = G.block_product_word(u, v + w)
-        rhs = G.block_product_word(u, v) + G.block_product_word(u, w)
-        assert lhs.codes == rhs.codes  # right distributivity
-        lhs = G.block_product_word(u, G.block_product_word(v, w))
-        rhs = G.block_product_word(G.block_product_word(u, v), w)
-        assert lhs.codes == rhs.codes  # associativity
+        u = [0] + [rng.randrange(2) for _ in range(rng.randrange(7))]
+        v = [rng.randrange(2) for _ in range(rng.randrange(8))]
+        w = [rng.randrange(2) for _ in range(rng.randrange(8))]
+        product = oracles.block_product_word
+        assert product(u, v + w) == product(u, v) + product(u, w)  # right distributivity
+        assert product(u, product(v, w)) == product(product(u, v), w)  # associativity
 
 
 def test_keane_printed_prefix():
@@ -221,11 +217,11 @@ def test_keane_printed_prefix():
 def test_block_product_seq_equals_iterated_products():
     for blocks in (["001"], ["001", "0111"], ["01", "0110", "011"]):
         x = G.block_product_seq(blocks)
-        words = [G.word_from_text(b, B) for b in blocks]
+        words = [[int(c) for c in b] for b in blocks]
         w = words[0]
         for level in range(1, 9):
-            w = G.block_product_word(w, words[min(level, len(words) - 1)])
-            assert x.prefix(len(w)) == w, (blocks, level)
+            w = oracles.block_product_word(w, words[min(level, len(words) - 1)])
+            assert x.prefix_array(len(w)).tolist() == w, (blocks, level)
 
 
 def test_block_product_seq_validation():
@@ -271,8 +267,9 @@ def _forced_chain_schemes(draw):
 @st.composite
 def described_words(draw):
     """A word that its constructor describes as substitutive: a random
-    block stream, thue_morse under each definition, a periodic or
-    eventually periodic word over two or three letters, a phase-aligned
+    block stream with up to 30 blocks before the repeated one, thue_morse
+    under each definition, a periodic or eventually periodic word (its
+    preperiod maybe empty) over two or three letters, a phase-aligned
     progression rewrite, or the lex chain of a forced-chain scheme."""
     kind = draw(st.sampled_from(["blocks", "thue_morse", "periodic", "eventually_periodic",
                                  "progression_rewrite", "scheme"]))
@@ -281,7 +278,7 @@ def described_words(draw):
     if kind == "scheme":
         return G.scheme_generate(draw(_forced_chain_schemes()))
     if kind == "blocks":
-        heads = draw(st.lists(st.text("01", min_size=1, max_size=4), max_size=3))
+        heads = draw(st.lists(st.text("01", min_size=1, max_size=4), max_size=30))
         tail = "0" + draw(st.text("01", min_size=1, max_size=3))
         return G.block_product_seq([b if i == 0 else "0" + b[1:] for i, b in enumerate(heads)]
                                    + [tail])
@@ -291,19 +288,22 @@ def described_words(draw):
     abc, word = Alphabet(tuple(letters)), st.text(letters, min_size=1, max_size=6)
     if kind == "periodic":
         return G.periodic(abc.word(draw(word)))
-    return G.eventually_periodic(abc.word(draw(word)), abc.word(draw(word)))
+    pre = st.text(letters, max_size=6)  # the empty preperiod included
+    return G.eventually_periodic(abc.word(draw(pre)), abc.word(draw(word)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(x=described_words())
 def test_description_expands_to_the_generated_word(x):
     n, d = 10**4, x.substitutive
-    sigma = G._image_table(list(d.sigma), Alphabet.of(*range(len(d.sigma))))
+    letters = Alphabet.of(*range(len(d.sigma)))
     y = np.array([d.seed])
-    while len(y) < n:  # psi is nonerasing: n letters of y cover n codes
-        y = G._expand(sigma, y)
-    got = G._expand(G._image_table(list(d.psi), x.alphabet), y[:n])[:n]
-    assert np.array_equal(got, x.prefix_array(n))
+    while len(y) < n:  # every morphism is nonerasing: n letters of y cover n codes
+        y = G._expand(G._image_table(list(d.sigma), letters), y)
+    for h in reversed(d.head):
+        y = G._expand(G._image_table(list(h), letters), y[:n])
+    got = G._expand(G._image_table(list(d.psi), x.alphabet), y[:n])
+    assert np.array_equal(np.concatenate([d.prefix, got])[:n], x.prefix_array(n))
 
 
 def test_words_without_a_forced_description():
@@ -323,13 +323,11 @@ def test_words_without_a_forced_description():
 
 def test_alternating_prefix_imbalance():
     # |u_m|_0 - |u_m|_1 alternates sign with magnitude 2^m
-    u = B.word("001")
-    block = B.word("0111")
     for m in range(0, 7):
-        w = u
+        w = [0, 0, 1]
         for _ in range(m):
-            w = G.block_product_word(w, block)
-        assert w.count("0") - w.count("1") == (-1) ** m * 2 ** m
+            w = oracles.block_product_word(w, [0, 1, 1, 1])
+        assert w.count(0) - w.count(1) == (-1) ** m * 2 ** m
     ape = G.alternating_prefix_example()
     stream = G.block_product_seq(["001", "0111"])
     assert agreement_length(ape, stream, 10**4) is None
@@ -591,6 +589,14 @@ def test_kolakoski_prefix(kolak):
     assert kolak.prefix(23).text == "22112122122112112212112"
 
 
+def test_blocks_before_the_repeated_one_are_described_level_by_level():
+    # psi is mu_01 and the other 39 blocks are head morphisms: their product
+    # of 2^40 codes is never built, and building reads no code
+    x = G.block_product_seq(["01"] * 40 + ["011"])
+    d = x.substitutive
+    assert len(x._store) == 0 and len(d.psi[0]) == 2 and len(d.head) == 39
+
+
 def test_kolakoski_rle_self_similar(kolak):
     for h in (10**3, 10**4, 10**5):
         vals = [c + 1 for c in kolak.codes(h)[:h]]
@@ -600,10 +606,10 @@ def test_kolakoski_rle_self_similar(kolak):
 
 def test_kolakoski_alternating_system(kolak):
     sys = G.kolakoski_system()
-    w = sys.alphabet.word("2211")
-    assert G.alternating_apply(sys, w).text == "221121"
-    w2 = sys.alphabet.word("221121221")
-    assert G.alternating_apply(sys, w2).text == "22112122122112"
+    tables, word = [_images(h) for h in sys.morphisms], sys.alphabet.word
+    assert oracles.alternating_apply(tables, word("2211").codes) == list(word("221121").codes)
+    assert oracles.alternating_apply(tables, word("221121221").codes) == \
+        list(word("22112122122112").codes)
     assert agreement_length(kolak, G.alternating_morphic(sys), 10**4) is None
 
 
@@ -817,10 +823,10 @@ def test_kolakoski_and_alternating_match_their_definitions():
     _reads_match(G.kolakoski(), want)
     system = G.kolakoski_system()
     _reads_match(G.alternating_morphic(system), want)
-    w = system.alphabet.word("2")
+    w = list(system.alphabet.word("2").codes)
     while len(w) < 2**14:
-        w = G.alternating_apply(system, w)
-    assert tuple(want[:len(w)]) == w.codes
+        w = oracles.alternating_apply([_images(h) for h in system.morphisms], w)
+    assert want[:len(w)] == w
     h = [G.Morphism.from_rules(_A3, _A3, r) for r in
          ({"0": "01", "1": "2", "2": "10"}, {"0": "2", "1": "01", "2": "0"},
           {"0": "1", "1": "1", "2": "22"})]

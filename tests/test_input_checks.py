@@ -67,11 +67,16 @@ CHECKS = [
     (lambda: agreement_length(G.thue_morse(), G.periodic("ab"), 10), SpecError,
      "agreement_length requires a common alphabet"),
     (lambda: shift(G.thue_morse(), -1), SpecError, "shift offset must be >= 0"),
+    (lambda: next(G.thue_morse().chunks(-1)), SpecError, "chunk start must be >= 0"),
     (lambda: Substitutive(((0, 5),), 0, ((1,),)), SpecError, "sigma names a letter outside 0..0"),
     (lambda: Substitutive(((0, 1), (1, 0)), 0, ((1,),)), SpecError,
      "psi has 1 images for the 2 letters of sigma"),
     (lambda: Substitutive(((0, 1), (1, 0)), 2, ((0,), (1,))), SpecError,
      "a substitutive description needs sigma(seed) = seed u, u nonempty, and a nonerasing psi"),
+    (lambda: Substitutive(((0, 1), (1, 0)), 0, ((0,), (1,)), head=(((0, 1),),)), SpecError,
+     "head morphisms need 2 nonempty images, the seed's starting with it"),  # one image
+    (lambda: Substitutive(((0, 1), (1, 0)), 0, ((0,), (1,)), head=(((0,), (1,)), ((1, 0), (0,)))),
+     SpecError, "head morphisms need 2 nonempty images, the seed's starting with it"),  # 0 -> 10
     # generators
     (lambda: Alphabet(()), SpecError, "alphabet must contain at least one symbol"),
     (lambda: G.periodic(""), SpecError, "period must be nonempty"),
@@ -97,8 +102,6 @@ CHECKS = [
     (lambda: _dfao(base=1), SpecError, "DFAO base must be >= 2"),
     (lambda: _dfao(drop=("q", 1)), SpecError, "transition missing for ('q', 1)"),
     (lambda: _dfao(output={}), SpecError, "output missing for state 'q'"),
-    (lambda: G.block_product_word(A3.word("01"), B.word("01")), SpecError,
-     "block products are defined over the binary alphabet"),
     (lambda: G.block_product_seq([]), SpecError, "need at least one block"),
     (lambda: G.block_product_seq([A3.word("01")]), SpecError, "blocks must be binary"),
     (lambda: G.block_product_seq(["10"]), SpecError, "block 0 does not start with 0"),
@@ -161,12 +164,15 @@ CHECKS = [
     (lambda: A.besicovitch_density(G.thue_morse(), G.thue_morse(), 0), SpecError,
      "horizon must be positive"),
     (lambda: A.am_estimate(G.thue_morse(), 0, 10), SpecError, "need at least one shift"),
+    (lambda: A.am_estimate(G.thue_morse(), 16, 0), SpecError, "horizon must be at least 1"),
+    (lambda: A.is_balanced(G.thue_morse(), 8, 5), SpecError, "horizon must be at least n_max"),
     (lambda: A.frequency(G.thue_morse(), Word(B, ()), 0, 1), SpecError,
      "block must be nonempty"),
     (lambda: A.frequency(G.thue_morse(), B.word("0"), 2, 1), SpecError, "need 0 <= i <= j"),
     (lambda: A.cesaro_estimate(G.thue_morse(), B.word("0"), 1), SpecError, "horizon too small"),
     (lambda: A.quasiperiods(Word(B, ())), SpecError, "the empty word has no quasiperiods"),
     (lambda: A.is_tiling_period(B.word("01"), "__"), SpecError, "pattern has no symbols"),
+    (lambda: A.tiling_periods(Word(B, ())), SpecError, "the empty word has no tiling periods"),
     (lambda: A.prouhet_partition(0), SpecError, "need n >= 1"),
     # cli
     (lambda: SequenceSpec.parse("  "), SpecError, "empty sequence spec"),

@@ -180,6 +180,12 @@ def test_bounded_workload_words_are_decided_without_reading_them(spec, tmp_path)
     assert len(x._store) == 0
 
 
+def test_a_block_stream_with_forty_heads_is_decided_from_its_levels():
+    x = G.block_product_seq(["01"] * 40 + ["011"], assert_both_letters=True)
+    v = O.decide_muller(O.both_letters_tracker(), x)
+    assert v.accept and v.window == Segment(87383, 174765) and len(x._store) == 0
+
+
 def test_a_rewrite_past_every_window_carries_no_description():
     # psi = base[:n1] is read only when the one-state window fits the cap
     base = G.periodic("01")
