@@ -342,6 +342,8 @@ def ap_coefficient(x: Sequence, n_max: int, horizon: int) -> ApCoefficientReport
     a full unit lower (its limsup is the square of the golden ratio).
     The reported maximum is a lower estimate of the limsup.
     """
+    if n_max < 1:
+        raise SpecError("n_max must be at least 1")
     rd = {}
     best, arg = Fraction(0), 1
     for n in range(1, n_max + 1):
@@ -361,6 +363,8 @@ def is_balanced(x: Sequence, n_max: int, horizon: int) -> BalanceReport:
     length up to n_max (binary alphabets only)."""
     if len(x.alphabet) != 2:
         raise SpecError("balance is defined for binary alphabets")
+    if n_max < 1:
+        raise SpecError("n_max must be at least 1")
     if horizon < n_max:
         raise SpecError("horizon must be at least n_max")
     arr = x.prefix_array(horizon)
@@ -445,6 +449,8 @@ def power_blocks(x: Sequence, horizon: int, kind: str,
         raise SpecError("horizon must be at least 4")
     if limit is not None and limit < 0:
         raise SpecError("limit must not be negative")
+    if max_period is not None and max_period < 1:
+        raise SpecError("max_period must be at least 1")
     reps, extra = {"square": (1, 0), "cube": (2, 0), "overlap": (1, 1)}[kind]
     p_cap = (horizon - extra) // (reps + 1)           # need + p <= horizon
     if max_period is not None:
@@ -687,6 +693,8 @@ def periodicity_screen(x: Sequence, horizon: int, n_max: int = 30) -> ScreenRepo
     """Complexity screen: if p(n) <= n for some n <= n_max the sequence is
     eventually periodic; in that case an explicit (preperiod, period) pair
     is searched for and reported when confirmed inside the horizon."""
+    if n_max < 1:
+        raise SpecError("n_max must be at least 1")
     comps = {}
     trigger = None
     for n in range(1, n_max + 1):

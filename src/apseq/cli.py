@@ -292,23 +292,16 @@ def cmd_decide(args) -> int:
 
 def _analyze_slices(args, x: Sequence):
     """CSV text slices; the list metrics make every row before returning."""
-    metric = args.metric
-    h = args.horizon
-    rows = []
+    metric, h, rows = args.metric, args.horizon, []
     if metric == "complexity":
         for n in range(1, args.n_max + 1):
-            exact = (x.certified_bound is not None and
-                     h >= x.certified_bound(n) + n)
+            exact = x.certified_bound is not None and h >= x.certified_bound(n) + n
             rows.append(("complexity", n, A.subword_complexity(x, n, h),
                          "exact" if exact else "lower", h))
     elif metric == "regulator":
         for n in range(1, args.n_max + 1):
-            if args.certified:
-                rep = A.certified_regulator(x, n)
-                rows.append(("regulator", n, rep.value, rep.kind, ""))
-            else:
-                rep = A.empirical_regulator(x, n, h)
-                rows.append(("regulator", n, rep.value, rep.kind, h))
+            rep = A.certified_regulator(x, n) if args.certified else A.empirical_regulator(x, n, h)
+            rows.append(("regulator", n, rep.value, rep.kind, "" if args.certified else h))
     elif metric == "prefix-regulator":
         for n in range(1, args.n_max + 1):
             rows.append(("prefix-regulator", n, A.prefix_regulator(x, n, h),
@@ -345,8 +338,7 @@ def _analyze_slices(args, x: Sequence):
         for n in sorted({1, 2, 4, 8, args.n_max} - {0}):
             rows.append(("entropy", n, A.entropy_estimate(x, n, h), "estimate", h))
     elif metric == "quasiperiods":
-        w = x.prefix(args.length)
-        rep = A.quasiperiods(w)
+        rep = A.quasiperiods(x.prefix(args.length))
         for q in rep.quasiperiods:
             rows.append(("quasiperiod", len(q), q.text,
                          "minimal" if q == rep.minimal else "cover", args.length))

@@ -1062,10 +1062,10 @@ def progression_rewrite(base: Sequence, levels) -> Sequence:
 
     Symbols are resolved a chunk of indices at a time, each through the
     first level that pins its index.  A certified bound (2 * n_{k+1} for
-    n <= n_k) is attached only when the base is (eventually) periodic,
-    phase-aligned with the chain: period length dividing n_0 and preperiod
-    at most n_0.  For general bases the junction factors between copies
-    and base content recur on a slower schedule and no bound is asserted.
+    n <= n_k) is attached only when the base is prefix psi(0)^omega by its
+    description, phase-aligned: |psi(0)| dividing n_0 and |prefix| at most
+    n_0.  For general bases the junction factors between copies and base
+    content recur on a slower schedule and no bound is asserted.
 
     A bounded rewrite is periodic with period n_1: x = (base[:n_1])^omega,
     by induction on the index i.  No index below n_1 is pinned.  An
@@ -1106,16 +1106,12 @@ def progression_rewrite(base: Sequence, levels) -> Sequence:
         src = resolve(idx)
         return base.prefix_array(int(src.max()) + 1)[src]  # past the base's cap it raises
 
-    bound = desc = None
-    fam = base.provenance.family
-    if fam in ("periodic", "eventually_periodic"):
-        plen = base.provenance.params.get("period_len", 0)
-        prelen = base.provenance.params.get("pre_len", 0)
-        if plen >= 1 and lv(0) % plen == 0 and prelen <= lv(0):
-            bound = _level_bound(lv, lambda k, n: 2 * lv(k + 1),
-                                 "progression rewrite window (phase-aligned base)")
-            if 2 * bound(bound(1)) <= base.horizon_cap:
-                desc = Substitutive(((0, 0),), 0, (tuple(base.prefix_array(lv(1)).tolist()),))
+    bound, desc, d = None, None, base.substitutive
+    if d is not None and len(d.sigma) == 1 and lv(0) % len(d.psi[0]) == 0 and len(d.prefix) <= lv(0):
+        bound = _level_bound(lv, lambda k, n: 2 * lv(k + 1),
+                             "progression rewrite window (phase-aligned base)")
+        if 2 * bound(bound(1)) <= base.horizon_cap:
+            desc = Substitutive(((0, 0),), 0, (tuple(base.prefix_array(lv(1)).tolist()),))
 
     prov = Provenance("progression_rewrite",
                       {"base": str(base.provenance), "n0": lv(0), "n1": lv(1)})

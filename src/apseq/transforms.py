@@ -262,7 +262,7 @@ def product(x: Sequence, y: Sequence) -> Sequence:
     the second factor is periodic with period p and the first carries a
     certified bound, the product is the image of the first under a
     p-state cyclic machine, so the uniform image window with m = p states
-    is attached."""
+    is attached; one letter and no prefix describe y = psi(0)^omega."""
     out = pair_alphabet(x.alphabet, y.alphabet)
     ky = len(y.alphabet)
 
@@ -271,10 +271,9 @@ def product(x: Sequence, y: Sequence) -> Sequence:
         xs = x.prefix_array(j)[i[0]:].astype(np.int64)  # pair codes pass the factors' dtypes
         return xs * ky + y.prefix_array(j)[i[0]:]
 
-    bound = None
-    p = y.provenance.params.get("period_len") if y.provenance.family == "periodic" else None
-    if p and x.certified_bound is not None:
-        bound = bound_formulas(x.certified_bound, p)["image"]
+    bound, d = None, y.substitutive
+    if d is not None and len(d.sigma) == 1 and not d.prefix and x.certified_bound is not None:
+        bound = bound_formulas(x.certified_bound, len(d.psi[0]))["image"]
     return Sequence.from_index_fn(out, fn, bound=bound,
                                   provenance=Provenance("product",
                                                         {"left": str(x.provenance),
@@ -297,27 +296,36 @@ def split(x: Sequence, marker: str, horizon: int) -> Sequence:
     """Cut after every occurrence of the marker, encode each block (a
     marker-free word followed by the marker) as a fresh symbol, and drop
     the first block.  The block alphabet is discovered on the horizon
-    prefix; a later block outside it is a hard error.  A block is named by
-    its digits code + 1 in base k + 1 (int64 while it fits, else Python ints)."""
+    prefix; a later block outside it is a hard error.  One routine names
+    every block: digits code + 1 in base k + 1, first digit highest, zeros
+    after up to the longest discovered block, top (int64 while it fits,
+    else Python ints).  Names sort as the blocks do: the prefix's sorted
+    names are the alphabet, and a name's rank is its symbol."""
     mcode = x.alphabet.index(marker)
     xs = x.prefix_array(horizon)
-    ends = (np.flatnonzero(xs == mcode) + 1).tolist()
-    blocks = [tuple(xs[a:b].tolist()) for a, b in zip([0] + ends, ends)]
-    if len(blocks) < 2:
+    ends = np.flatnonzero(xs == mcode) + 1
+    if ends.size < 2:
         raise SpecError(f"marker {marker!r} does not cut twice within the horizon")
-    kinds = sorted(set(blocks))
-    out = Alphabet(tuple(Word._of(x.alphabet, b).text for b in kinds))
-    base, top = len(x.alphabet) + 1, max(map(len, kinds))
-    weight = np.array([base**j for j in range(top + 1)],
+    lens = np.diff(ends, prepend=0)
+    base, top = len(x.alphabet) + 1, int(lens.max())
+    weight = np.array([base**j for j in range(top - 1, -1, -1)] + [0],
                       dtype=np.int64 if base**top < 2**63 else object)
-    names = np.array([sum((c + 1) * base**(len(b) - 1 - j) for j, c in enumerate(b))
-                      for b in kinds], dtype=weight.dtype)
-    order = np.argsort(names)
-    names = names[order]
+
+    def name(seg, cut):
+        # places past top weigh 0: a longer block keeps top digits without the
+        # marker's, which every discovered name holds, so it takes none of them
+        starts = np.concatenate(([0], cut[:-1]))
+        pos = np.arange(seg.size) - np.repeat(starts, cut - starts)  # places from the block start
+        digit = seg.astype(weight.dtype) + 1  # widened: code 255 + 1 wraps in uint8
+        return np.add.reduceat(digit * weight[np.minimum(pos, top)], starts), starts
+
+    names, first = np.unique(name(xs[:ends[-1]], ends)[0], return_index=True)
+    out = Alphabet(tuple(Word._of(x.alphabet, tuple(xs[e - n:e].tolist())).text
+                         for e, n in zip(ends[first], lens[first])))
 
     def chunks():
         rest = []  # the codes after the last marker read
-        for xs in x.chunks(len(blocks[0])):
+        for xs in x.chunks(int(ends[0])):
             cut = np.flatnonzero(xs == mcode) + 1
             if not cut.size:
                 rest.append(xs)
@@ -325,18 +333,14 @@ def split(x: Sequence, marker: str, horizon: int) -> Sequence:
                 continue
             seg = np.concatenate([*rest, xs[:cut[-1]]])
             rest, cut = [xs[cut[-1]:]], cut + (seg.size - cut[-1])
-            starts = np.concatenate(([0], cut[:-1]))
-            pos = np.repeat(cut - 1, cut - starts) - np.arange(seg.size)  # places to the block end
-            digit = seg.astype(weight.dtype) + 1  # widened: code 255 + 1 wraps in uint8
-            name = np.add.reduceat(digit * weight[np.minimum(pos, top)], starts)
-            i = np.minimum(np.searchsorted(names, name), names.size - 1)
-            known = (names[i] == name) & (cut - starts <= top)
-            bad = np.flatnonzero(~known)
+            got, starts = name(seg, cut)
+            i = np.minimum(np.searchsorted(names, got), names.size - 1)
+            bad = np.flatnonzero(names[i] != got)
             if bad.size:
-                yield order[i[:bad[0]]]  # the blocks before the unknown one are valid
+                yield i[:bad[0]]  # the blocks before the unknown one are valid
                 key = tuple(seg[starts[bad[0]]:cut[bad[0]]].tolist())
                 raise SpecError(f"block {key} not discovered within the split horizon {horizon}")
-            yield order[i]
+            yield i
 
     prov = Provenance("split", {"of": str(x.provenance), "marker": marker, "horizon": horizon})
     return Sequence.from_chunks(out, chunks(), provenance=prov, horizon_cap=x.horizon_cap)

@@ -76,6 +76,37 @@ MUTANTS = [
     ("doubling-shift-2", "generators.py",
      "_DOUBLING_SHIFT = 3",
      "_DOUBLING_SHIFT = 2", ["test_generators.py", "test_acceptance.py"]),
+    ("rewrite-window-below-the-regulator", "generators.py",
+     "bound = _level_bound(lv, lambda k, n: 2 * lv(k + 1),",
+     "bound = _level_bound(lv, lambda k, n: lv(k),", ["test_generators.py"]),
+    ("pair-scheme-window-below-the-regulator", "generators.py",
+     "bound = _level_bound(scheme.length, lambda m, n: jlen + 2 * scheme.length(m + 1),",
+     "bound = _level_bound(scheme.length, lambda m, n: jlen + scheme.length(m),",
+     ["test_generators.py"]),
+    ("product-cap-of-the-left-factor", "transforms.py",
+     "horizon_cap=min(x.horizon_cap, y.horizon_cap))",
+     "horizon_cap=x.horizon_cap)", ["test_transforms.py"]),
+    # -- the period and preperiod read from a description
+    ("product-over-a-preperiod", "transforms.py",
+     "if d is not None and len(d.sigma) == 1 and not d.prefix and x.certified_bound is not None:",
+     "if d is not None and len(d.sigma) == 1 and x.certified_bound is not None:",
+     ["test_transforms.py"]),
+    ("rewrite-over-a-long-preperiod", "generators.py",
+     "if d is not None and len(d.sigma) == 1 and lv(0) % len(d.psi[0]) == 0 "
+     "and len(d.prefix) <= lv(0):",
+     "if d is not None and len(d.sigma) == 1 and lv(0) % len(d.psi[0]) == 0:",
+     ["test_generators.py"]),
+    # -- split's block names
+    ("split-digits-lowest-first", "transforms.py",
+     "weight = np.array([base**j for j in range(top - 1, -1, -1)] + [0],",
+     "weight = np.array([base**j for j in range(top)] + [0],", ["test_transforms.py"]),
+    ("split-names-right-aligned", "transforms.py",
+     "pos = np.arange(seg.size) - np.repeat(starts, cut - starts)  # places from the block start",
+     "pos = np.arange(seg.size) - np.repeat(cut, cut - starts) + top", ["test_transforms.py"]),
+    ("split-places-past-top-weighted", "transforms.py",
+     "weight = np.array([base**j for j in range(top - 1, -1, -1)] + [0],",
+     "weight = np.array([base**j for j in range(top - 1, -1, -1)] + [1],",
+     ["test_transforms.py"]),
     # -- the level filter of analysis.power_blocks
     ("power-filter-without-backward-half", "analysis.py",
      "| _agree(levels[j], s - w + 1, p, s >= w - 1))",

@@ -359,7 +359,7 @@ def _power_cases(draw):
                               max_size=6)):
         codes[i] = c
     return (k, codes, draw(st.sampled_from(KINDS)),
-            draw(st.none() | st.integers(0, size)), draw(st.none() | st.integers(0, 60)))
+            draw(st.none() | st.integers(1, size)), draw(st.none() | st.integers(0, 60)))
 
 
 @settings(max_examples=120, deadline=None)

@@ -476,6 +476,13 @@ MALFORMED = {
     "am-horizon-zero": ("", "analyze --metric am --horizon 0 --spec thue_morse", 2),
     "am-horizon-negative": ("", "analyze --metric am --horizon -5 --spec thue_morse", 2),
     "tiling-length-zero": ("", "analyze --metric tiling --length 0 --spec thue_morse", 2),
+    # bounds under which no length is tested
+    "screen-n-max-zero": ("", "analyze --metric screen --n-max 0 --spec thue_morse", 2),
+    "rd-n-max-zero": ("", "analyze --metric rd --n-max 0 --spec thue_morse", 2),
+    "balance-n-max-zero": ("", "analyze --metric balance --n-max 0 --spec thue_morse", 2),
+    "powers-max-period-zero": ("", "analyze --metric powers --max-period 0 --spec thue_morse", 2),
+    "powers-max-period-negative": ("", "analyze --metric powers --max-period -1 "
+                                       "--spec thue_morse", 2),
     "compare-horizon-negative": ("", "compare --horizon -5 --spec-a thue_morse "
                                      "--spec-b thue_morse", 2),
 }

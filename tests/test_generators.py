@@ -686,6 +686,17 @@ def test_progression_rewrite_serves_the_codes_before_a_source_past_the_base_cap(
             x.codes(9000)
 
 
+def test_progression_rewrite_reads_period_and_preperiod_from_the_description():
+    # the period 1 divides n_0 = 2, but the preperiod 110 is longer
+    late = G.progression_rewrite(G.eventually_periodic("110", "0"), G.geometric_levels(2, 2))
+    assert late.certified_bound is None
+    # a bounded rewrite is purely periodic with period n_1 = 6, which divides the outer n_0
+    inner = G.progression_rewrite(G.periodic("01"), G.geometric_levels(2, 3))
+    outer = G.progression_rewrite(inner, G.geometric_levels(6, 2))
+    assert [outer.certified_bound(n) for n in (1, 6, 7, 12, 13)] == [24, 24, 48, 48, 96]
+    assert all(A.check_certified_bound(outer, n, 6000) for n in range(1, 9))
+
+
 def test_progression_rewrite_bound_only_when_aligned():
     aligned = G.progression_rewrite(G.periodic("01"), G.geometric_levels(4, 4))
     assert aligned.certified_bound is not None
@@ -999,6 +1010,14 @@ def test_level_indexed_bounds_keep_their_values(name):
 def test_moved_level_bounds_hold(make):
     x = make()
     assert all(A.check_certified_bound(x, n, 20000) for n in range(1, 9))
+
+
+@pytest.mark.parametrize("name", ["pair_scheme_ap", "pair_scheme_gap_0110",
+                                  "rewrite_01_n0_2_ratio_3", "rewrite_1_0011_n0_4_ratio_2"])
+def test_rewrite_and_pair_scheme_bounds_hold(name):
+    # their regulators for n = 1..8, measured on 20,000 symbols, are n + 1 to n + 3
+    x = _LEVEL_BOUNDS[name][0]()
+    assert all(A.check_certified_bound(x, n, 6000) for n in range(1, 9))
 
 
 @pytest.mark.xfail(reason="ROADMAP item 1: the block-product bound is unsound")

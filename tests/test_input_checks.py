@@ -166,6 +166,11 @@ CHECKS = [
     (lambda: A.am_estimate(G.thue_morse(), 0, 10), SpecError, "need at least one shift"),
     (lambda: A.am_estimate(G.thue_morse(), 16, 0), SpecError, "horizon must be at least 1"),
     (lambda: A.is_balanced(G.thue_morse(), 8, 5), SpecError, "horizon must be at least n_max"),
+    (lambda: A.is_balanced(G.thue_morse(), 0, 5), SpecError, "n_max must be at least 1"),
+    (lambda: A.ap_coefficient(G.thue_morse(), 0, 100), SpecError, "n_max must be at least 1"),
+    (lambda: A.periodicity_screen(G.thue_morse(), 100, 0), SpecError, "n_max must be at least 1"),
+    (lambda: A.power_blocks(G.thue_morse(), 100, "square", max_period=0), SpecError,
+     "max_period must be at least 1"),
     (lambda: A.frequency(G.thue_morse(), Word(B, ()), 0, 1), SpecError,
      "block must be nonempty"),
     (lambda: A.frequency(G.thue_morse(), B.word("0"), 2, 1), SpecError, "need 0 <= i <= j"),

@@ -165,6 +165,23 @@ def test_product_bound_requires_periodic_right(tm, fib, p01):
     assert T.product(fib, p01).certified_bound is None  # left factor unbounded
 
 
+def test_product_reads_the_period_from_the_right_description(tm):
+    # a preperiod is no cyclic counter; an empty one is the periodic word
+    assert T.product(tm, G.eventually_periodic("1", "01")).certified_bound is None
+    bound = T.product(tm, G.eventually_periodic("", "01")).certified_bound
+    want = T.product(tm, G.periodic("01")).certified_bound
+    assert [bound(n) for n in range(1, 9)] == [want(n) for n in range(1, 9)]
+
+
+def test_product_cap_is_the_smaller_factor_cap():
+    y = G.periodic("01")
+    y.horizon_cap = 5000
+    prod = T.product(G.thue_morse(), y)
+    assert prod.horizon_cap == 5000
+    with pytest.raises(HorizonExhausted, match=re.escape("requested 5001 symbols of product")):
+        prod.codes(5001)
+
+
 def test_product_reads_stop_at_its_own_cap():
     x = G.thue_morse()
     x.horizon_cap = 6000
@@ -431,14 +448,62 @@ def test_split_matches_the_per_symbol_reference(seed, k):
         with pytest.raises(SpecError, match="does not cut twice"):
             T.split(_capped(codes, k), str(marker), horizon)
         return
+    _check_split(codes, k, marker, horizon)
+
+
+def _check_split(codes, k, marker, horizon):
+    """The split of the codes against the per-symbol reference; its kinds."""
     want, unknown = oracles.split(codes, marker, horizon)
-    s = T.split(_capped(codes, k), str(marker), horizon)
+    x = _capped(codes, k)
+    s = T.split(x, str(marker), horizon)
     assert s.codes(len(want))[:len(want)] == want
     if unknown is not None:  # the blocks before it are served, then the same error every time
         for _ in range(2):
             with pytest.raises(SpecError, match=re.escape(f"block {unknown} not discovered")):
                 s.codes(len(want) + 1)
         assert s.codes(len(want))[:len(want)] == want
+    letters = list if x.alphabet.single_char else lambda b: b.split(",")
+    return [[int(c) for c in letters(b)] for b in s.alphabet.symbols]
+
+
+def _blocks(rng, k, marker, lengths, count):
+    """count blocks over k letters, each a marker-free word of a length in
+    lengths less one, then the marker."""
+    codes = []
+    for _ in range(count):
+        codes += [rng.choice([c for c in range(k) if c != marker])
+                  for _ in range(rng.choice(lengths) - 1)] + [marker]
+    return codes
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_split_names_past_int64_take_python_ints(seed):
+    # base 3 and blocks of up to 48 codes: 3**48 > 2**63
+    rng = random.Random(seed)
+    head = _blocks(rng, 3, 2, [1, 2, 40, 45, 48], 60)
+    codes = head + _blocks(rng, 3, 2, [1, 2, 40, 45, 48, 50], 200)
+    kinds = _check_split(codes, 3, 2, len(head))
+    assert 3 ** max(map(len, kinds)) >= 2**63
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_split_over_more_than_256_letters(seed):
+    # uint16 codes; the marker is the top code, whose digit is the base less one
+    rng = random.Random(seed)
+    codes = _blocks(rng, 300, 299, [1, 2, 3], 3000)
+    codes += _blocks(rng, 300, 299, [1, 2, 3, 7], 3000)
+    assert _capped(codes, 300).prefix_array(1).dtype == np.uint16
+    kinds = _check_split(codes, 300, 299, 3000)
+    assert len(kinds) > 256 and 301 ** max(map(len, kinds)) < 2**63
+
+
+def test_split_block_longer_than_every_discovered_one():
+    # blocks 1 and 01 are discovered, so names have two digits; 001 keeps
+    # its first two, 0 and 0, and must not read as a discovered name
+    codes = [1, 0, 1, 1, 0, 1] * 10 + [0, 0, 1] + [0, 1] * 4000
+    assert _check_split(codes, 2, 1, 60) == [[0, 1], [1]]
+    for tail in ([0, 0, 0, 0, 1], [0] * 5000 + [1]):
+        _check_split(codes[:60] + tail + codes[60:], 2, 1, 60)
 
 
 # Alphabet sizes on both sides of the uint8 and uint16 store boundaries.
