@@ -8,10 +8,10 @@ to the cutoff condition, mirroring the two-part regulator of generalized
 almost periodicity.
 
 Factor statistics share one kernel: every length-n window of a prefix gets
-an int64 id, equal exactly when the windows are equal and ordered like the
-windows (lexicographically).  Grouping the windows by id gives, per
-distinct factor, its first and last start and the largest step between
-consecutive starts, from which every coverage value follows.
+a uint32 or int64 id, equal exactly when the windows are equal and ordered
+like them (lexicographically).  One sort of id << b | position groups them
+by id: per distinct factor, its first and last start and the largest step
+between consecutive starts, from which every coverage value follows.
 """
 
 from __future__ import annotations
@@ -146,12 +146,11 @@ class ProuhetReport:
 
 
 def _window_ids(arr: np.ndarray, n: int, k: int) -> np.ndarray:
-    """int64 id of every length-n window of arr over k letters: base-k
-    codes up to the widest window whose code stays below 2**62, composed
-    from power-of-two widths as ids_{a+b}[i] = ids_a[i] * k**b + ids_b[i + a].
-    The ids and two buffers for the parts are made once and written in
-    place, in uint32 while the codes fit, and widened once at the end;
-    past the width, prefix doubling goes on."""
+    """Id of every length-n window of arr over k letters: base-k codes up
+    to the widest window whose code stays below 2**62, composed from
+    power-of-two widths as ids_{a+b}[i] = ids_a[i] * k**b + ids_b[i + a],
+    in place in the ids and two part buffers, uint32 while k**n <= 2**32 and
+    int64 past that; past the width, prefix doubling goes on."""
     width = 1
     while width < n and k ** (width + 1) <= 2**62:
         width += 1
@@ -171,8 +170,22 @@ def _window_ids(arr: np.ndarray, n: int, k: int) -> np.ndarray:
         np.multiply(part[:-size], k**size, out=spare[:-size])
         spare[:-size] += part[size:]
         part, spare, size = spare, part, 2 * size
-    ids = ids.astype(np.int64, copy=False)
     return ids if width == n else _factor_groups_slow(ids, width, n)
+
+
+def _runs(ids: np.ndarray, top: int):
+    """The positions of ids in (id, position) order and a mask of where each
+    id's run starts, from one sort of id << b | position, b the bit length of
+    the largest position and top the largest id: in uint32 if top < 2**(32 - b),
+    in int64 if top < 2**(63 - b), else None, as the keys would not fit."""
+    b = (ids.size - 1).bit_length()
+    if top >> (63 - b):
+        return None
+    keys = ids.astype(np.uint32 if top < 1 << (32 - b) else np.int64, copy=False) << b
+    keys |= np.arange(ids.size, dtype=keys.dtype)
+    keys.sort()
+    return (np.bitwise_and(keys, (1 << b) - 1, out=np.empty(ids.size, np.intp)),
+            np.concatenate(([True], keys[1:] >> b != keys[:-1] >> b)))
 
 
 def _double(ids: np.ndarray, step: int):
@@ -181,17 +194,22 @@ def _double(ids: np.ndarray, step: int):
     which overlap or abut; rank * count + rank over the distinct ids keeps
     the pairs' lexicographic order.  Ids below twice their number (the
     early levels of a pyramid) are ranked by a table of the ids present and
-    its running count, in about 18 bytes per id; others by np.unique.  Both
-    give each id its place among the distinct ids."""
+    its running count, in about 18 bytes per id; others by the running
+    count of the run starts of :func:`_runs`, or by np.unique if too wide."""
     top = int(ids.max())
     if top < 2 * ids.size:
         seen = np.zeros(top + 1, bool)
         seen[ids] = True
         table = np.cumsum(seen)                       # 1 + rank, at each id present
         count, rank = int(table[-1]), table[ids] - 1
-    else:
+    elif (runs := _runs(ids, top)) is None:
         uniq, rank = np.unique(ids, return_inverse=True)
         count = uniq.size
+    else:
+        pos, start = runs
+        dense = np.cumsum(start)                      # 1 + rank, in (id, position) order
+        count, rank = int(dense[-1]), np.empty_like(dense)
+        rank[pos] = dense - 1
     return rank, rank[:-step] * count + rank[step:]
 
 
@@ -207,13 +225,11 @@ def _factor_groups_slow(ids: np.ndarray, width: int, n: int) -> np.ndarray:
 def _id_groups(ids: np.ndarray):
     """(first, last, max_gap) arrays over the distinct ids, in id order;
     max_gap is the largest step between consecutive occurrences (0 for a
-    single one)."""
+    single one).  Ids too wide for :func:`_runs` are re-ranked first."""
     m = ids.size
-    if ids.max() >= 2**62 // m:  # re-rank so that id * m + position fits
-        ids = np.unique(ids, return_inverse=True)[1]
-    # one sort of id * m + position orders by id, then by position
-    sid, pos = np.divmod(np.sort(ids * m + np.arange(m)), m)
-    starts = np.flatnonzero(np.concatenate(([True], sid[1:] != sid[:-1])))
+    pos, start = (_runs(ids, int(ids.max()))
+                  or _runs(np.unique(ids, return_inverse=True)[1], m - 1))
+    starts = np.flatnonzero(start)
     steps = np.diff(pos, prepend=0)
     steps[starts] = 0
     ends = np.append(starts[1:], m) - 1
@@ -238,6 +254,8 @@ def subword_complexity(x: Sequence, n: int, horizon: int) -> int:
     This is exact (equal to the complexity of the whole sequence) whenever
     horizon >= certified_bound(n) + n; otherwise it is a lower bound.
     """
+    if n < 1:
+        raise SpecError("n must be at least 1")
     if horizon < n:
         raise SpecError("horizon must be at least n")
     ids = np.sort(_window_ids(x.prefix_array(horizon), n, len(x.alphabet)))
@@ -248,6 +266,8 @@ def empirical_regulator(x: Sequence, n: int, horizon: int) -> RegulatorReport:
     """Minimal l such that every recurring length-n factor of the prefix
     occurs in every length-l window inside the horizon, and no finitely
     occurring factor starts at or past l."""
+    if n < 1:
+        raise SpecError("n must be at least 1")
     if horizon < 4 * n:
         raise SpecError("horizon must be at least 4*n for a meaningful estimate")
     first, last, gap = _factor_groups(x, n, horizon)
@@ -316,6 +336,8 @@ def check_certified_bound(x: Sequence, n: int, horizon: int) -> bool:
 def prefix_regulator(x: Sequence, n: int, horizon: int) -> int:
     """Minimal l such that the length-n prefix occurs in every length-l
     window inside the horizon."""
+    if n < 1:
+        raise SpecError("n must be at least 1")
     if horizon < 4 * n:
         raise SpecError("horizon must be at least 4*n")
     pos = np.flatnonzero(_occurrence_hits(x, x.prefix(n), horizon - n + 1))
@@ -429,8 +451,8 @@ def detect_powers(x: Sequence, horizon: int, kind: str,
     block that reaches it; a block's filter reads the need of its least
     period.  Cost: O(H log^2 H + output) time and about 4 H log2 H bytes for
     the pyramid (6.4 MB at H = 10^5, about 0.9 GB at 10^7).  For cubes in
-    the doubling word: about 0.06 s at H = 10^5 and 1.5 s at 10^6, with a
-    traced peak of 121 MB (2-CPU VM).
+    the doubling word: about 0.05 s at H = 10^5 and 0.8 s at 10^6, with a
+    traced peak of 112 MB (2-CPU VM).
     """
     out = []
     for pos, ulen in power_blocks(x, horizon, kind, max_period, limit):

@@ -293,6 +293,8 @@ def cmd_decide(args) -> int:
 def _analyze_slices(args, x: Sequence):
     """CSV text slices; the list metrics make every row before returning."""
     metric, h, rows = args.metric, args.horizon, []
+    if metric in ("complexity", "regulator", "prefix-regulator") and args.n_max < 1:
+        raise SpecError("n_max must be at least 1")
     if metric == "complexity":
         for n in range(1, args.n_max + 1):
             exact = x.certified_bound is not None and h >= x.certified_bound(n) + n

@@ -118,6 +118,17 @@ MUTANTS = [
     ("power-filter-without-bounds-guard", "analysis.py",
      "hit = np.flatnonzero(_agree(levels[j], s, p, s + w <= horizon - p)",
      "hit = np.flatnonzero(_agree(levels[j], s, p, True)", ["test_analysis.py"]),
+    # -- the packed keys id << b | position of analysis._runs
+    ("packed-uint32-bound-inclusive", "analysis.py",
+     "keys = ids.astype(np.uint32 if top < 1 << (32 - b) else np.int64, copy=False) << b",
+     "keys = ids.astype(np.uint32 if top <= 1 << (32 - b) else np.int64, copy=False) << b",
+     ["test_analysis.py"]),
+    ("packed-position-bits-one-short", "analysis.py",
+     "b = (ids.size - 1).bit_length()",
+     "b = (ids.size - 1).bit_length() - 1", ["test_analysis.py"]),
+    ("packed-fallback-one-bit-late", "analysis.py",
+     "if top >> (63 - b):",
+     "if top >> (64 - b):", ["test_analysis.py"]),
 ]
 
 

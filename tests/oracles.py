@@ -34,6 +34,17 @@ def factor_count(codes, n):
     return len({tuple(codes[i:i + n]) for i in range(len(codes) - n + 1)})
 
 
+def id_groups(ids):
+    """(first, last, max_gap) per distinct value of ids, in value order:
+    its first and last position and the largest step between consecutive
+    ones (0 for a single one)."""
+    at = {}
+    for i, v in enumerate(ids):
+        at.setdefault(v, []).append(i)
+    return [(p[0], p[-1], max((b - a for a, b in zip(p, p[1:])), default=0))
+            for _v, p in sorted(at.items())]
+
+
 def quasiperiods(text):
     """All covers of the word by cell marking: for each candidate prefix,
     mark every position lying under some occurrence and keep the

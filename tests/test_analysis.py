@@ -224,7 +224,8 @@ def test_window_ids_are_base_k_codes_up_to_the_width(case):
     k, n, codes = case
     ids = A._window_ids(np.array(codes, dtype=np.uint8), n, k)
     windows = [tuple(codes[i:i + n]) for i in range(len(codes) - n + 1)]
-    assert ids.dtype == np.int64 and ids.size == len(windows)
+    narrow = n <= _widest(k, 2**62) and k**n <= 2**32
+    assert ids.dtype == (np.uint32 if narrow else np.int64) and ids.size == len(windows)
     if n <= _widest(k, 2**62):
         assert ids.tolist() == [sum(c * k ** (n - 1 - j) for j, c in enumerate(w))
                                 for w in windows]
@@ -233,13 +234,46 @@ def test_window_ids_are_base_k_codes_up_to_the_width(case):
         assert np.unique(ids, return_inverse=True)[1].tolist() == [place[w] for w in windows]
 
 
+def _packing_tops(size):
+    """The largest ids just below and at the limits of the keys id << b |
+    position of analysis._runs, b the bit length of size - 1: 2**(32 - b)
+    for uint32 keys and 2**(63 - b) for int64 ones, past which ids are
+    re-ranked by np.unique."""
+    b = (size - 1).bit_length()
+    return [2**(32 - b) - 1, 2**(32 - b), 2**(63 - b) - 1, 2**(63 - b), 2**(63 - b) + 1]
+
+
+@st.composite
+def _packed_ids(draw):
+    """Ids with repeats whose largest value lies at a packing limit or
+    below three times their number, or a single distinct id; uint32 or
+    int64 when they fit, as window ids."""
+    size = draw(st.integers(2, 300))
+    top = draw(st.sampled_from(_packing_tops(size)) | st.integers(0, 3 * size))
+    values = draw(st.lists(st.integers(0, top), max_size=8)) + [top]
+    ids = draw(st.lists(st.sampled_from(values), min_size=size, max_size=size))
+    ids[draw(st.integers(0, size - 1))] = top
+    return np.array(ids, dtype=draw(st.sampled_from([np.uint32, np.int64]))
+                    if top < 2**32 else np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packed_ids())
+def test_id_groups_match_a_plain_oracle(ids):
+    groups = A._id_groups(ids)
+    assert all(a.dtype == np.intp for a in groups)
+    assert list(zip(*(a.tolist() for a in groups))) == oracles.id_groups(ids.tolist())
+
+
 @st.composite
 def _double_cases(draw):
     """Ids whose largest value lies just below, at or far past twice their
-    number (the presence table ranks the first, np.unique the others), or
-    a single distinct id; uint8 when they fit, as the codes of a prefix."""
+    number (the presence table ranks the first, the packed keys of
+    analysis._runs or np.unique the others), at a packing limit, or a
+    single distinct id; uint8 when they fit, as the codes of a prefix."""
     size = draw(st.integers(2, 200))
-    top = draw(st.sampled_from([2 * size - 1, 2 * size, 2**40]) | st.integers(0, 3 * size))
+    top = draw(st.sampled_from([2 * size - 1, 2 * size, 2**40, *_packing_tops(size)])
+               | st.integers(0, 3 * size))
     if draw(st.booleans()):
         ids = [top] * size
     else:

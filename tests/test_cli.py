@@ -480,6 +480,15 @@ MALFORMED = {
     "screen-n-max-zero": ("", "analyze --metric screen --n-max 0 --spec thue_morse", 2),
     "rd-n-max-zero": ("", "analyze --metric rd --n-max 0 --spec thue_morse", 2),
     "balance-n-max-zero": ("", "analyze --metric balance --n-max 0 --spec thue_morse", 2),
+    "complexity-n-max-zero": ("", "analyze --metric complexity --n-max 0 --spec thue_morse", 2),
+    "complexity-n-max-negative": ("", "analyze --metric complexity --n-max -3 "
+                                      "--spec thue_morse", 2),
+    "regulator-n-max-zero": ("", "analyze --metric regulator --n-max 0 --spec thue_morse", 2),
+    "certified-regulator-n-max-negative": ("", "analyze --metric regulator --certified "
+                                               "--n-max -3 --spec thue_morse", 2),
+    "prefix-regulator-n-max-zero": ("", "analyze --metric prefix-regulator --n-max 0 "
+                                        "--spec thue_morse", 2),
+    "entropy-n-max-negative": ("", "analyze --metric entropy --n-max -3 --spec thue_morse", 2),
     "powers-max-period-zero": ("", "analyze --metric powers --max-period 0 --spec thue_morse", 2),
     "powers-max-period-negative": ("", "analyze --metric powers --max-period -1 "
                                        "--spec thue_morse", 2),

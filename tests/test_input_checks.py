@@ -150,6 +150,13 @@ CHECKS = [
      "occurrence density must lie in [0, 1]"),
     (lambda: A.subword_complexity(G.thue_morse(), 5, 3), SpecError,
      "horizon must be at least n"),
+    (lambda: A.subword_complexity(G.thue_morse(), 0, 100), SpecError, "n must be at least 1"),
+    (lambda: A.subword_complexity(G.thue_morse(), -3, 100), SpecError, "n must be at least 1"),
+    (lambda: A.entropy_estimate(G.thue_morse(), 0, 100), SpecError, "n must be at least 1"),
+    (lambda: A.empirical_regulator(G.thue_morse(), 0, 100), SpecError, "n must be at least 1"),
+    (lambda: A.empirical_regulator(G.thue_morse(), -3, 100), SpecError, "n must be at least 1"),
+    (lambda: A.prefix_regulator(G.thue_morse(), 0, 100), SpecError, "n must be at least 1"),
+    (lambda: A.prefix_regulator(G.thue_morse(), -3, 100), SpecError, "n must be at least 1"),
     (lambda: A.empirical_regulator(G.thue_morse(), 5, 19), SpecError,
      "horizon must be at least 4*n for a meaningful estimate"),
     (lambda: A.certified_bound_report(G.fibonacci(), 1), SpecError,
