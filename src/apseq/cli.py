@@ -2,8 +2,9 @@
 machines, decide acceptance, compare sequences.
 
 Exit codes: 0 ok, 2 bad spec, 3 horizon/precision exhausted, 4 machine
-parse or machine-form problem, 5 decision refused for lack of a certified
-bound, 6 decision refused on cost grounds.
+parse or machine-form problem, or an input file that cannot be read, 5
+decision refused for lack of a certified bound, 6 decision refused on cost
+grounds.
 
 Sequence specs are single strings "family key=value ...": stable family
 names with family-specific parameters (rationals as p/q, words as strings
@@ -14,6 +15,7 @@ rows go to stdout and are deterministic; run metadata goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -88,6 +90,16 @@ def _parse_rules(text: str, alphabet=None, coding=False):
     return G.Morphism.from_rules(alphabet, target, pairs)
 
 
+def _read(path: str) -> str:
+    """The text of an input file, which must be UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise MachineParseError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") \
+                from None
+
+
 def parse_scheme_file(path: str):
     """Substitution-indexed scheme file:
 
@@ -98,9 +110,8 @@ def parse_scheme_file(path: str):
         expand: 1 = 101
         pairs: 01 10
     """
-    with open(path, encoding="utf-8") as fh:
-        head, _ = read_records(fh.read(), {"kind": str, "base": dict, "expand": dict,
-                                           "pairs": str.split}, None, SpecError)
+    head, _ = read_records(_read(path), {"kind": str, "base": dict, "expand": dict,
+                                         "pairs": str.split}, None, SpecError)
     if head.get("kind") not in ("ap", "gap"):
         raise SpecError("scheme file must set kind: ap or kind: gap")
     base = head.get("base", {})
@@ -118,10 +129,8 @@ def parse_dfao_file(path: str) -> G.DFAO:
         output: q0 = 0
         q0 0 -> q0
     """
-    with open(path, encoding="utf-8") as fh:
-        head, arcs = read_records(fh.read(), {"base": int, "states": str.split, "start": str,
-                                              "output": dict}, "q d -> q2",
-                                  MachineParseError)
+    head, arcs = read_records(_read(path), {"base": int, "states": str.split, "start": str,
+                                            "output": dict}, "q d -> q2", MachineParseError)
     if not {"base", "states", "start"} <= head.keys():
         raise MachineParseError("digit automaton file missing base/states/start")
     output = head.get("output", {})
@@ -261,8 +270,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_transduce(args) -> int:
-    with open(args.machine, encoding="utf-8") as fh:
-        machine = T.parse_transducer(fh.read())
+    machine = T.parse_transducer(_read(args.machine))
     x = build_sequence(SequenceSpec.parse(args.spec), seed=args.seed)
     img = T.transduce(machine, x)
     print(img.prefix(args.n).text)
@@ -276,8 +284,7 @@ def cmd_transduce(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    with open(args.automaton, encoding="utf-8") as fh:
-        automaton = O.parse_automaton(fh.read())
+    automaton = O.parse_automaton(_read(args.automaton))
     x = build_sequence(SequenceSpec.parse(args.spec), seed=args.seed)
     if isinstance(automaton, O.MullerAutomaton):
         verdict = O.decide_muller(automaton, x)
@@ -385,6 +392,7 @@ def cmd_spec(args) -> int:
 # -- entry point ---------------------------------------------------------------------
 
 
+@functools.cache  # built on the first main() of a process, not at import
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="apseq",
                                 description="sequences close to periodic: generate, analyze, decide")
@@ -444,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
 _EXIT_CODES = [
     ((SpecError, GenerationStuck), 2),
     ((HorizonExhausted, PrecisionExhausted), 3),
-    ((MachineParseError, MachineFault, UnsupportedFeature, FileNotFoundError), 4),
+    ((MachineParseError, MachineFault, UnsupportedFeature, FileNotFoundError,
+      IsADirectoryError, PermissionError), 4),
     ((NoCertifiedBound,), 5),
     ((CostRefusal,), 6),
 ]

@@ -171,13 +171,15 @@ def _window_states(initial, delta: dict, x: Sequence, w: int) -> frozenset:
     transition) is run again to name the first one.  It runs the prefix
     of x = prefix psi(sigma_0 ... sigma_{j-1} sigma^omega(seed)), or the
     first 2w codes of a word without a description.  Each block of the
-    rest has a summary, its exit state and the states it visits, from every
-    entry state: level 0 runs psi(c), and level k+1 composes level k along
-    sigma_k(c), head[k] while k < j and sigma after.  From the prefix's end
-    the walk descends from the first level whose seed block reaches 2w: a
-    block before w only moves the state, a block inside [w, 2w) adds its
-    visits, and a block that cuts w or 2w, or whose summary exits in the
-    sink, is split, down to the leaf on psi(c).
+    rest has a summary, held per letter c as two lists indexed by entry
+    row: the exit rows, and the rows visited as a bitmask (a Python int,
+    so any number of rows fits).  Level 0 runs psi(c) from every row, and
+    level k+1 composes level k along sigma_k(c), head[k] while k < j and
+    sigma after.  From the prefix's end the walk descends from the first
+    level whose seed block reaches 2w: a block before w only moves the
+    state, a block inside [w, 2w) ORs in its visits, and a block that cuts
+    w or 2w, or whose summary exits in the sink, is split, down to the
+    leaf on psi(c).
     """
     alphabet, k = x.alphabet, len(x.alphabet)
     states = list(dict.fromkeys([initial, *(q for q, _a in delta), *delta.values()]))
@@ -213,34 +215,45 @@ def _window_states(initial, delta: dict, x: Sequence, w: int) -> frozenset:
         return frozenset(states[i] for i in np.flatnonzero(seen))
     sigma_at = lambda j: d.head[j] if j < len(d.head) else d.sigma  # level j+1 from level j
     psi = [np.array(img, dtype=np.intp) for img in d.psi]
-    exits, visits = np.empty((len(psi), n), dtype=np.intp), np.zeros((len(psi), n, n), dtype=bool)
-    for c, img in enumerate(psi):
-        for s in range(n):
-            before, q = run_states(table, s * k, img)
-            exits[c, s] = q // k
-            visits[c, s, before // k] = True
+    step, span = (table // k).tolist(), range(n)  # step[s][a]: the row after a from row s
+    exits, visits = [], []
+    for img in psi:
+        codes, e, v = img.tolist(), [], []
+        for s in span:
+            q, mask = s, 0
+            for a in codes:
+                mask |= 1 << q
+                q = step[q][a]
+            e.append(q)
+            v.append(mask)
+        exits.append(e)
+        visits.append(v)
     levels, lens = [(exits, visits)], [[len(img) for img in psi]]
     while len(prefix) + lens[-1][d.seed] < 2 * w:
         sigma = sigma_at(len(levels) - 1)
-        exits, visits = np.empty_like(exits), np.zeros_like(visits)
-        for c, image in enumerate(sigma):
-            e = np.arange(n)
+        exits, visits = [], []
+        for image in sigma:
+            e, v = list(span), [0] * n
             for b in image:
-                visits[c] |= levels[-1][1][b, e]
-                e = levels[-1][0][b, e]
-            exits[c] = e
+                ex, vi = levels[-1][0][b], levels[-1][1][b]
+                v = [v[i] | vi[e[i]] for i in span]
+                e = [ex[q] for q in e]
+            exits.append(e)
+            visits.append(v)
         levels.append((exits, visits))
         lens.append([sum(lens[-1][b] for b in image) for image in sigma])
+    found = 0                                   # the rows visited by the blocks kept whole
 
     def walk(level, c, p, s):
         """The row at min(end, 2w) of the block (level, c) that starts at
         p < 2w in row s."""
+        nonlocal found
         end = p + lens[level][c]
         exits, visits = levels[level]
-        if exits[c, s] != n - 1 and (end <= w or w <= p and end <= 2 * w):
+        if exits[c][s] != n - 1 and (end <= w or w <= p and end <= 2 * w):
             if end > w:
-                seen[visits[c, s]] = True
-            return exits[c, s]
+                found |= visits[c][s]
+            return exits[c][s]
         if level == 0:
             return leaf(psi[c], p, s)
         for b in sigma_at(level - 1)[c]:
@@ -251,7 +264,7 @@ def _window_states(initial, delta: dict, x: Sequence, w: int) -> frozenset:
         return s
 
     walk(len(levels) - 1, d.seed, len(prefix), entry)
-    return frozenset(states[i] for i in np.flatnonzero(seen))
+    return frozenset(states[i] for i in range(n - 1) if seen[i] or found >> i & 1)
 
 
 def decide_muller(automaton: MullerAutomaton, x: Sequence) -> Verdict:

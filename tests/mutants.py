@@ -39,14 +39,24 @@ MUTANTS = [
      "if end > w:",
      "if end >= w:", WALK),
     ("block-past-2w-kept-whole", "omega.py",
-     "if exits[c, s] != n - 1 and (end <= w or w <= p and end <= 2 * w):",
-     "if exits[c, s] != n - 1 and (end <= w or w <= p and end <= 2 * w + 1):", WALK),
+     "if exits[c][s] != n - 1 and (end <= w or w <= p and end <= 2 * w):",
+     "if exits[c][s] != n - 1 and (end <= w or w <= p and end <= 2 * w + 1):", WALK),
     ("leaf-slice", "omega.py",
      "codes = codes[:2 * w - p]",
      "codes = codes[:2 * w - p + 1]", WALK),
     ("sink-test", "omega.py",
-     "if exits[c, s] != n - 1 and (end <= w or w <= p and end <= 2 * w):",
+     "if exits[c][s] != n - 1 and (end <= w or w <= p and end <= 2 * w):",
      "if end <= w or w <= p and end <= 2 * w:", WALK),
+    # -- the level summaries: exit lists and visit bitmasks
+    ("level-0-bit-after-the-step", "omega.py",
+     "mask |= 1 << q",
+     "mask |= 1 << step[q][a]", WALK),
+    ("visits-not-accumulated-across-an-image", "omega.py",
+     "v = [v[i] | vi[e[i]] for i in span]",
+     "v = [vi[e[i]] for i in span]", WALK),
+    ("exits-advanced-before-visits-read", "omega.py",
+     "v = [v[i] | vi[e[i]] for i in span]",
+     "v = [v[i] | vi[ex[e[i]]] for i in span]", WALK),
     ("top-level-below-2w", "omega.py",
      "while len(prefix) + lens[-1][d.seed] < 2 * w:",
      "while len(prefix) + lens[-1][d.seed] < w:", WALK),

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -25,9 +26,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(argv):
+    """(exit code, stdout, stderr) of main(argv), usage errors and --help
+    included."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -209,6 +215,39 @@ def test_exit_codes(tmp_path, tracker_file):
         assert run(["decide", "--automaton", tracker_file, "--spec", "thue_morse"])[0] == 6
     finally:
         del os.environ["APSEQ_HORIZON_CAP"]
+
+
+def test_one_parser_serves_every_call_of_a_process(monkeypatch, tracker_file):
+    decide = ["decide", "--automaton", tracker_file, "--spec", "thue_morse"]
+    steps = [decide, ["gen", "--n", "x", "--spec", "thue_morse"], ["gen", "--help"],
+             ["gen", "--n", "4", "--spec", "bogus"], ("APSEQ_HORIZON_CAP", "1000"), decide,
+             ("APSEQ_HORIZON_CAP", None), decide]
+
+    def outcomes():
+        got = []
+        for step in steps:
+            if isinstance(step, tuple):
+                name, value = step
+                monkeypatch.delenv(name) if value is None else monkeypatch.setenv(name, value)
+            else:
+                got.append(run(step))
+        return got
+
+    cached = outcomes()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)  # a new parser per call
+        assert outcomes() == cached
+    codes = [code for code, _out, _err in cached]
+    assert codes == [0, 2, 0, 2, 6, 0]
+    assert cached[4][2].startswith("error: certified window") and cached[0] == cached[5]
+
+    made = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: made.append(self) or init(self, *a, **kw))
+    cli.build_parser.cache_clear()
+    assert run(decide) == cached[0] and len(made) == 7  # apseq and its six commands
+    assert run(decide) == cached[0] and len(made) == 7
 
 
 def test_horizon_cap_reaches_the_progression_rewrite_base(monkeypatch):
@@ -494,6 +533,11 @@ MALFORMED = {
                                        "--spec thue_morse", 2),
     "compare-horizon-negative": ("", "compare --horizon -5 --spec-a thue_morse "
                                      "--spec-b thue_morse", 2),
+    # a directory where an input file is named (text None)
+    "automaton-is-a-directory": (None, DECIDE + "thue_morse", 4),
+    "machine-is-a-directory": (None, "transduce --machine {f} --n 8 --spec thue_morse", 4),
+    "scheme-is-a-directory": (None, GEN + "scheme file={f}", 4),
+    "digits-is-a-directory": (None, GEN + "automatic file={f}", 4),
 }
 
 
@@ -504,7 +548,10 @@ def _hang(signum, frame):
 @pytest.mark.parametrize("text, command, code", MALFORMED.values(), ids=list(MALFORMED))
 def test_malformed_input_exits_with_error(tmp_path, monkeypatch, text, command, code):
     path = tmp_path / "input"
-    path.write_text(text)
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
     head, rest = command.split(" ", 1)
     if "=" in head:  # a leading NAME=value sets the environment, as in a shell
         monkeypatch.setenv(*head.split("=", 1))
@@ -520,6 +567,21 @@ def test_malformed_input_exits_with_error(tmp_path, monkeypatch, text, command, 
         signal.signal(signal.SIGALRM, handler)
     assert (got, out) == (code, "")
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", [DECIDE + "thue_morse",
+                                     "transduce --machine {f} --n 8 --spec thue_morse",
+                                     GEN + "scheme file={f}", GEN + "automatic file={f}"])
+def test_unreadable_input_files_exit_4(tmp_path, command):
+    path = tmp_path / "input"
+    path.write_bytes(b"states: q0\n\xff\xfe\n")
+    words, _, spec = command.format(f=path).partition(" --spec ")
+    assert run(words.split() + ["--spec", spec]) == (
+        4, "", f"error: {path} is not UTF-8 text: invalid start byte at byte 11\n")
+    # a missing file keeps its message
+    words, _, spec = command.format(f=tmp_path / "missing").partition(" --spec ")
+    assert run(words.split() + ["--spec", spec]) == (
+        4, "", f"error: [Errno 2] No such file or directory: '{tmp_path / 'missing'}'\n")
 
 
 def test_random_scheme_policy_follows_seed(tmp_path):

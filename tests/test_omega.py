@@ -126,10 +126,12 @@ def test_decision_equals_the_per_symbol_run(chunk, block, case):
 def _deltas(draw):
     """A transition map on 1-8 states over 0/1, with arcs on a third
     letter "2" from the states where the draw puts them; or a counter
-    whose states tell the positions 0..39 apart."""
+    whose states tell the positions 0..39, or 0..69, apart (more rows than
+    a 64-bit word has bits)."""
     if draw(st.booleans()):
-        qs = tuple(f"t{i}" for i in range(40))
-        return qs, {(q, a): qs[min(i + 1, 39)] for i, q in enumerate(qs) for a in "012"}
+        top = draw(st.sampled_from([39, 69]))
+        qs = tuple(f"t{i}" for i in range(top + 1))
+        return qs, {(q, a): qs[min(i + 1, top)] for i, q in enumerate(qs) for a in "012"}
     qs = tuple(f"s{i}" for i in range(draw(st.integers(1, 8))))
     delta = {(q, a): draw(st.sampled_from(qs)) for q in qs for a in "01"}
     delta.update({(q, "2"): draw(st.sampled_from(qs)) for q in qs if draw(st.booleans())})
@@ -158,6 +160,19 @@ def test_described_window_states_equal_the_scan(chunk, block, qd, x, w):
         assert len(x._store) == 0  # a missing transition is named without reading x
         x.substitutive = None
         assert got == _outcome(lambda: O._window_states(qs[0], delta, x, w))
+
+
+@pytest.mark.parametrize("x", [G.periodic("012"), G.eventually_periodic("1", "01"),
+                               G.eventually_periodic("21", "0120")],
+                         ids=["012", "1(01)", "21(0120)"])
+def test_blocks_that_cut_the_window_are_split(x):
+    # a counter is in state t_i at position i, so each block kept whole that
+    # reaches past 2w, or starts before w, adds a state from outside the window
+    qs = tuple(f"t{i}" for i in range(40))
+    delta = {(q, a): qs[min(i + 1, 39)] for i, q in enumerate(qs) for a in "012"}
+    for w in range(1, 16):
+        assert O._window_states("t0", delta, x, w) == frozenset(qs[w:2 * w])
+    assert len(x._store) == 0
 
 
 def test_thue_morse_m3_is_decided_without_reading_the_word():
